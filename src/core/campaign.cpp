@@ -1,5 +1,6 @@
 #include "core/campaign.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -165,6 +166,33 @@ void validate_mc(const McAxis& mc, const std::vector<Scenario>& scenarios) {
           s.topology + "')");
     }
   }
+}
+
+/// The order in which Campaign::run hands scenarios to its workers: one
+/// scenario per distinct graph first, largest ranks x scale first (the
+/// graph build dominates a cold scenario and grows with both; ties keep
+/// first-appearance order), then every remaining scenario in grid order.
+/// Builds therefore start as early as possible and the longest one starts
+/// first, while scenarios sharing a graph trail behind its build.  Sets
+/// `distinct_graphs` to the number of distinct graphs the scenarios span.
+std::vector<std::size_t> cost_order(const std::vector<Scenario>& scenarios,
+                                    std::size_t& distinct_graphs) {
+  std::vector<std::size_t> builds;
+  std::vector<std::size_t> rest;
+  std::set<GraphKey> seen;
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    (seen.insert(graph_key(scenarios[i])).second ? builds : rest).push_back(i);
+  }
+  const auto cost = [&](std::size_t i) {
+    return scenarios[i].ranks * scenarios[i].scale;
+  };
+  std::stable_sort(builds.begin(), builds.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return cost(a) > cost(b);
+                   });
+  distinct_graphs = builds.size();
+  builds.insert(builds.end(), rest.begin(), rest.end());
+  return builds;
 }
 
 Campaign::ScenarioResult eval_scenario(const Scenario& s,
@@ -426,34 +454,30 @@ std::vector<Campaign::ScenarioResult> Campaign::run(const Probe& probe,
 std::vector<Campaign::ScenarioResult> Campaign::run(const Probe& probe,
                                                     GraphCache& cache,
                                                     SolverCache& solvers) {
-  // Phase 1: resolve every distinct execution graph through the cache,
-  // building the misses in parallel.  Keys are collected in
-  // first-appearance order.
-  std::vector<GraphKey> keys;
-  std::set<GraphKey> seen;
-  for (const Scenario& s : scenarios_) {
-    const GraphKey key = graph_key(s);
-    if (seen.insert(key).second) keys.push_back(key);
-  }
-  cache.warm(keys, threads_);
-
-  // Phase 2: one solver per scenario over the cached (now read-only)
-  // graphs; each job writes only its own slot, so result order is grid
-  // order whatever the thread count.  Each worker thread owns one solve
-  // workspace, reused across all scenarios it serves — steady-state solves
-  // allocate nothing.
+  // One self-scheduled pass over the scenarios in cost order: workers claim
+  // one scenario at a time, the first claimant of a graph builds it through
+  // the cache's per-key lock, and later claimants of the same graph wait for
+  // that build (or hit).  Each job writes only its own result slot, so the
+  // result order is grid order whatever the thread count and claim race.
+  // Each worker thread owns one solve workspace, reused across all
+  // scenarios it serves — steady-state solves allocate nothing.
+  std::size_t distinct_graphs = 0;
+  const std::vector<std::size_t> order =
+      cost_order(scenarios_, distinct_graphs);
   std::vector<ScenarioResult> results(scenarios_.size());
   const int nworkers = effective_threads(scenarios_.size(), threads_);
   std::vector<lp::ParametricSolver::Workspace> wss(
       static_cast<std::size_t>(nworkers));
-  parallel_for_workers(scenarios_.size(), threads_, [&](int w, std::size_t i) {
-    const Scenario& s = scenarios_[i];
-    const graph::Graph& g = cache.get(graph_key(s));
-    results[i] = eval_scenario(s, g, topo_, mc_, probe, solvers,
-                               wss[static_cast<std::size_t>(w)]);
-  });
+  parallel_for_workers_chunked(
+      order.size(), threads_, 1, [&](int w, std::size_t j) {
+        const std::size_t i = order[j];
+        const Scenario& s = scenarios_[i];
+        const graph::Graph& g = cache.get(graph_key(s));
+        results[i] = eval_scenario(s, g, topo_, mc_, probe, solvers,
+                                   wss[static_cast<std::size_t>(w)]);
+      });
 
-  stats_.graphs_built = keys.size();
+  stats_.graphs_built = distinct_graphs;
   stats_.scenarios_run = scenarios_.size();
   return results;
 }

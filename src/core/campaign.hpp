@@ -175,9 +175,12 @@ class Campaign {
 
   /// Same, resolving graphs through an external cache (an api::Engine
   /// session cache) so graphs persist across campaigns and are shared with
-  /// other request types.  Missing graphs are built in parallel; already
-  /// cached ones are reused.  The emitted bytes are independent of the
-  /// cache's prior contents.
+  /// other request types.  Workers claim scenarios one at a time, one per
+  /// distinct graph first (largest ranks x scale first), so missing graphs
+  /// are built in parallel and every scenario starts as soon as its graph
+  /// exists; already cached ones are reused.  From a cold cache a run of N
+  /// scenarios over K distinct graphs records K builds and N - K hits.
+  /// The emitted bytes are independent of the cache's prior contents.
   std::vector<ScenarioResult> run(const Probe& probe, GraphCache& cache);
 
   /// Same, additionally resolving flat-latency scenario solvers through an

@@ -1,20 +1,22 @@
 #include "core/graph_cache.hpp"
 
-#include <set>
-#include <utility>
+#include <vector>
 
 #include "apps/registry.hpp"
 #include "obs/metrics.hpp"
 #include "schedgen/schedgen.hpp"
-#include "util/parallel.hpp"
 
 namespace llamp::core {
 
 std::unique_ptr<graph::Graph> GraphCache::build(const GraphKey& key) {
   schedgen::Options opt;
   opt.rendezvous_threshold = key.S;
-  return std::make_unique<graph::Graph>(schedgen::build_graph(
-      apps::make_app_trace(key.app, key.ranks, key.scale), opt));
+  // The trace is a temporary of the expansion, so it is freed before the
+  // graph is built: the two are never resident together.
+  const std::vector<schedgen::MidStream> streams = schedgen::expand_trace(
+      apps::make_app_trace(key.app, key.ranks, key.scale), opt);
+  return std::make_unique<graph::Graph>(
+      schedgen::build_graph_from_streams(streams, opt));
 }
 
 std::shared_ptr<GraphCache::Slot> GraphCache::slot_for(const GraphKey& key) {
@@ -24,21 +26,12 @@ std::shared_ptr<GraphCache::Slot> GraphCache::slot_for(const GraphKey& key) {
   return slot;
 }
 
-const graph::Graph& GraphCache::build_in(Slot& slot, const GraphKey& key) {
-  // Per-key lock: concurrent first touches of one key build it once;
-  // builds of distinct keys proceed in parallel (the map mutex is never
-  // held across a build, and the atomic tallies never re-enter it).
-  const std::lock_guard<std::mutex> lock(slot.build_mutex);
-  if (!slot.graph) {
-    slot.graph = build(key);
-    built_.fetch_add(1, std::memory_order_relaxed);
-    bytes_.fetch_add(slot.graph->memory_bytes(), std::memory_order_relaxed);
-  }
-  return *slot.graph;
-}
-
 const graph::Graph& GraphCache::get(const GraphKey& key) {
   const std::shared_ptr<Slot> slot = slot_for(key);
+  // Per-key lock: the first caller builds, concurrent callers of the same
+  // key wait for that build and count as hits; builds of distinct keys
+  // proceed in parallel (the map mutex is never held across a build, and
+  // the atomic tallies never re-enter it).
   const std::lock_guard<std::mutex> lock(slot->build_mutex);
   if (slot->graph) {
     hits_.fetch_add(1, std::memory_order_relaxed);
@@ -48,19 +41,6 @@ const graph::Graph& GraphCache::get(const GraphKey& key) {
   built_.fetch_add(1, std::memory_order_relaxed);
   bytes_.fetch_add(slot->graph->memory_bytes(), std::memory_order_relaxed);
   return *slot->graph;
-}
-
-void GraphCache::warm(const std::vector<GraphKey>& keys, int threads) {
-  // First-appearance order of the distinct keys is preserved so the
-  // parallel build's work distribution is deterministic for a given input.
-  std::vector<std::pair<GraphKey, std::shared_ptr<Slot>>> todo;
-  std::set<GraphKey> seen;
-  for (const GraphKey& key : keys) {
-    if (seen.insert(key).second) todo.push_back({key, slot_for(key)});
-  }
-  parallel_for(todo.size(), threads, [&](std::size_t i) {
-    (void)build_in(*todo[i].second, todo[i].first);
-  });
 }
 
 GraphCache::Stats GraphCache::stats() const {

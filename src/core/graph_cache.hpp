@@ -7,7 +7,6 @@
 #include <mutex>
 #include <string>
 #include <tuple>
-#include <vector>
 
 #include "graph/graph.hpp"
 
@@ -48,15 +47,11 @@ class GraphCache {
   /// The cached graph for `key`, building it (schedgen over the proxy
   /// trace, rendezvous threshold from the key) on first use.  Concurrent
   /// callers are safe: a miss builds under a per-key lock, so two callers
-  /// never build one key twice and a slow build never blocks lookups or
-  /// builds of other keys (a cold parallel batch builds its distinct
-  /// graphs concurrently).
+  /// never build one key twice (the second waits for the first's build and
+  /// counts as a hit) and a slow build never blocks lookups or builds of
+  /// other keys (a cold parallel batch builds its distinct graphs
+  /// concurrently).
   const graph::Graph& get(const GraphKey& key);
-
-  /// Ensure every key is cached, building the misses in parallel on
-  /// `threads` workers (<= 0 = hardware concurrency) without counting
-  /// hits.  Subsequent get() calls for these keys are pure lookups.
-  void warm(const std::vector<GraphKey>& keys, int threads);
 
   struct Stats {
     std::size_t built = 0;  ///< graphs constructed (cache misses)
@@ -84,8 +79,6 @@ class GraphCache {
   };
 
   std::shared_ptr<Slot> slot_for(const GraphKey& key);
-  /// Build the slot's graph if still absent (per-key lock); returns it.
-  const graph::Graph& build_in(Slot& slot, const GraphKey& key);
   static std::unique_ptr<graph::Graph> build(const GraphKey& key);
 
   std::mutex mutex_;  ///< guards graphs_ only

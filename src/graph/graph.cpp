@@ -19,6 +19,12 @@ void Graph::require_building() const {
   if (finalized_) throw GraphError("graph is already finalized");
 }
 
+void Graph::reserve(std::size_t vertices, std::size_t edges) {
+  require_building();
+  vertices_.reserve(vertices);
+  edges_.reserve(edges);
+}
+
 VertexId Graph::add_vertex(Vertex v) {
   require_building();
   if (v.rank < 0 || v.rank >= nranks_) {
@@ -177,8 +183,9 @@ void Graph::finalize() {
   require_building();
   const std::size_t n = vertices_.size();
 
-  // The construction vectors grew geometrically; campaigns cache finalized
-  // graphs for their whole run, so trim the slack (up to ~2x) now.
+  // Unless the builder reserved exact counts, the construction vectors grew
+  // geometrically; campaigns cache finalized graphs for their whole run, so
+  // trim the slack (up to ~2x) now.
   vertices_.shrink_to_fit();
   edges_.shrink_to_fit();
 

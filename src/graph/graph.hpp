@@ -69,6 +69,10 @@ class Graph {
   int nranks() const { return nranks_; }
 
   // --- construction --------------------------------------------------------
+  /// Reserve room for `vertices` vertices and `edges` edges.  A builder that
+  /// knows its exact counts (schedgen does) never regrows, and finalize()'s
+  /// trim then has nothing to copy.
+  void reserve(std::size_t vertices, std::size_t edges);
   VertexId add_calc(int rank, TimeNs duration);
   /// `peer` is the sending rank of the message the post belongs to; it only
   /// matters for wire attribution of handshake-completion edges.

@@ -1,8 +1,10 @@
 #include "schedgen/schedgen.hpp"
 
-#include <map>
+#include <algorithm>
+#include <cstdint>
 #include <tuple>
 #include <unordered_map>
+#include <utility>
 
 #include "schedgen/collectives.hpp"
 #include "util/error.hpp"
@@ -100,49 +102,128 @@ std::vector<MidStream> expand_trace(const trace::Trace& t,
 
 namespace {
 
-/// State tracked while materializing one rank's stream into graph vertices.
-struct RequestInfo {
-  bool is_recv = false;
-  graph::VertexId vertex = graph::kInvalidVertex;  // send vertex / post vertex
-  std::int32_t peer = -1;
-  std::uint64_t bytes = 0;
-  std::int32_t tag = 0;
-  std::size_t recv_slot = 0;  // index into the recv match list (recvs only)
-  bool waited = false;
-};
+using graph::kInvalidVertex;
+using graph::VertexId;
 
 using MatchKey = std::tuple<int, int, int>;  // (src, dst, tag)
 
+struct MatchKeyHash {
+  std::size_t operator()(const MatchKey& k) const noexcept {
+    // Pack the triple into 64 bits, then the SplitMix64 finalizer.
+    const auto u = [](int x) {
+      return static_cast<std::uint64_t>(static_cast<std::uint32_t>(x));
+    };
+    std::uint64_t x = (u(std::get<0>(k)) << 32 | u(std::get<1>(k))) ^
+                      u(std::get<2>(k)) * 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return static_cast<std::size_t>(x ^ (x >> 31));
+  }
+};
+
+/// One (src, dst, tag) match channel: its sends and posted receives, each
+/// in program order.
+struct Channel {
+  struct Send {
+    VertexId vertex = kInvalidVertex;
+    /// For rendezvous sends: where the sender-completion edge must point
+    /// (the wait vertex for isend, the program successor for a blocking
+    /// send).
+    VertexId completion = kInvalidVertex;
+  };
+  struct Recv {
+    VertexId vertex = kInvalidVertex;  ///< set by the wait for irecvs
+    VertexId post = kInvalidVertex;    ///< kInvalidVertex for blocking recvs
+  };
+  std::vector<Send> sends;
+  std::vector<Recv> recvs;
+};
+
+/// State tracked while materializing one rank's stream into graph vertices.
+struct RequestInfo {
+  bool is_recv = false;
+  std::int32_t peer = -1;
+  std::uint64_t bytes = 0;
+  std::int32_t tag = 0;
+  // The request's match slot: channel->sends[slot] or channel->recvs[slot].
+  // Channel addresses are stable (unordered_map never moves its nodes).
+  Channel* channel = nullptr;
+  std::size_t slot = 0;
+  bool waited = false;
+};
+
 }  // namespace
+
+GraphSize count_graph(const std::vector<MidStream>& streams,
+                      const Options& opts) {
+  GraphSize n;
+  for (const MidStream& stream : streams) {
+    // Opening and closing sentinels; the closing one is chained.
+    n.vertices += 2;
+    n.edges += 1;
+    for (const MidOp& op : stream) {
+      // Every op materializes one vertex chained (or issue-edged) to its
+      // predecessor.
+      n.vertices += 1;
+      n.edges += 1;
+      const bool rdzv = op.bytes >= opts.rendezvous_threshold;
+      switch (op.kind) {
+        case MidOp::Kind::kCalc:
+        case MidOp::Kind::kWait:
+          break;
+        case MidOp::Kind::kSend:
+          n.edges += 1;  // comm edge
+          if (rdzv) {    // chained completion anchor
+            n.vertices += 1;
+            n.edges += 1;
+          }
+          break;
+        case MidOp::Kind::kIsend:
+          n.edges += 1;  // comm edge; the wait's vertex is its own op
+          break;
+        case MidOp::Kind::kRecv:
+          if (rdzv) n.edges += 1;  // blocking-receiver completion edge
+          break;
+        case MidOp::Kind::kIrecv:
+          // The wait's issue edge plus the two handshake-completion edges.
+          if (rdzv) n.edges += 3;
+          break;
+      }
+    }
+  }
+  return n;
+}
 
 graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
                                       const Options& opts) {
   const int P = static_cast<int>(streams.size());
   if (P == 0) throw SchedError("no ranks");
   graph::Graph g(P);
+  const GraphSize size = count_graph(streams, opts);
+  g.reserve(size.vertices, size.edges);
 
   const auto rdzv = [&](std::uint64_t bytes) {
     return bytes >= opts.rendezvous_threshold;
   };
 
-  // Global send/recv match lists per (src, dst, tag), in program order.
-  std::map<MatchKey, std::vector<graph::VertexId>> send_slots;
-  std::map<MatchKey, std::vector<graph::VertexId>> recv_slots;
-  // Post vertex per recv slot (kInvalidVertex for blocking receives).
-  std::map<MatchKey, std::vector<graph::VertexId>> recv_posts;
-  // For rendezvous sends: where the sender-completion edge must point
-  // (the wait vertex for isend, the program successor for blocking send).
-  std::unordered_map<graph::VertexId, graph::VertexId> completion_target;
+  // Global match channels; matched below in sorted key order.
+  std::unordered_map<MatchKey, Channel, MatchKeyHash> channels;
 
   for (int r = 0; r < P; ++r) {
     std::unordered_map<std::int64_t, RequestInfo> requests;
     // Every rank starts and ends with a zero-cost calc sentinel so that all
     // chains (and rendezvous completion edges) have anchors.
-    graph::VertexId prev = g.add_calc(r, 0.0);
+    VertexId prev = g.add_calc(r, 0.0);
 
-    const auto chain = [&](graph::VertexId v, bool add_local = true) {
+    const auto chain = [&](VertexId v, bool add_local = true) {
       if (add_local) g.add_local_edge(prev, v);
       prev = v;
+    };
+    const auto add_request = [&](const MidOp& op, RequestInfo info) {
+      if (!requests.emplace(op.request, info).second) {
+        throw SchedError(strformat("rank %d: duplicate request %lld", r,
+                                   static_cast<long long>(op.request)));
+      }
     };
 
     for (const MidOp& op : streams[static_cast<std::size_t>(r)]) {
@@ -152,39 +233,32 @@ graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
           break;
         }
         case MidOp::Kind::kSend: {
-          const graph::VertexId v = g.add_send(r, op.peer, op.bytes, op.tag);
+          const VertexId v = g.add_send(r, op.peer, op.bytes, op.tag);
           chain(v);
-          send_slots[{r, op.peer, op.tag}].push_back(v);
+          Channel::Send send{v, kInvalidVertex};
           if (rdzv(op.bytes)) {
             // A blocking rendezvous send is an isend plus an implicit wait:
             // materialize the completion point as a zero-cost anchor so that
             // everything downstream (including a following rendezvous
             // receive's issue time) starts from t_s', not from the send
             // initiation.
-            const graph::VertexId anchor = g.add_calc(r, 0.0);
-            chain(anchor);
-            completion_target[v] = anchor;
+            send.completion = g.add_calc(r, 0.0);
+            chain(send.completion);
           }
+          channels[{r, op.peer, op.tag}].sends.push_back(send);
           break;
         }
         case MidOp::Kind::kIsend: {
-          const graph::VertexId v = g.add_send(r, op.peer, op.bytes, op.tag);
+          const VertexId v = g.add_send(r, op.peer, op.bytes, op.tag);
           chain(v);
-          send_slots[{r, op.peer, op.tag}].push_back(v);
-          RequestInfo info;
-          info.is_recv = false;
-          info.vertex = v;
-          info.peer = op.peer;
-          info.bytes = op.bytes;
-          info.tag = op.tag;
-          if (!requests.emplace(op.request, info).second) {
-            throw SchedError(strformat("rank %d: duplicate request %lld", r,
-                                       static_cast<long long>(op.request)));
-          }
+          Channel& ch = channels[{r, op.peer, op.tag}];
+          ch.sends.push_back({v, kInvalidVertex});
+          add_request(op, {false, op.peer, op.bytes, op.tag, &ch,
+                           ch.sends.size() - 1, false});
           break;
         }
         case MidOp::Kind::kRecv: {
-          const graph::VertexId v = g.add_recv(r, op.peer, op.bytes, op.tag);
+          const VertexId v = g.add_recv(r, op.peer, op.bytes, op.tag);
           if (rdzv(op.bytes)) {
             // The issue edge subsumes the plain program-order dependency.
             g.add_issue_edge(prev, v, /*through_post=*/false);
@@ -192,29 +266,18 @@ graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
           } else {
             chain(v);
           }
-          recv_slots[{op.peer, r, op.tag}].push_back(v);
-          recv_posts[{op.peer, r, op.tag}].push_back(graph::kInvalidVertex);
+          channels[{op.peer, r, op.tag}].recvs.push_back({v, kInvalidVertex});
           break;
         }
         case MidOp::Kind::kIrecv: {
-          const graph::VertexId post = g.add_post(r, op.peer);
+          const VertexId post = g.add_post(r, op.peer);
           chain(post);
-          RequestInfo info;
-          info.is_recv = true;
-          info.vertex = post;
-          info.peer = op.peer;
-          info.bytes = op.bytes;
-          info.tag = op.tag;
           // Reserve the match slot now: MPI matches receives in *posting*
           // order, not wait order.
-          auto& slots = recv_slots[{op.peer, r, op.tag}];
-          info.recv_slot = slots.size();
-          slots.push_back(graph::kInvalidVertex);
-          recv_posts[{op.peer, r, op.tag}].push_back(post);
-          if (!requests.emplace(op.request, info).second) {
-            throw SchedError(strformat("rank %d: duplicate request %lld", r,
-                                       static_cast<long long>(op.request)));
-          }
+          Channel& ch = channels[{op.peer, r, op.tag}];
+          ch.recvs.push_back({kInvalidVertex, post});
+          add_request(op, {true, op.peer, op.bytes, op.tag, &ch,
+                           ch.recvs.size() - 1, false});
           break;
         }
         case MidOp::Kind::kWait: {
@@ -227,17 +290,16 @@ graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
           RequestInfo& info = it->second;
           info.waited = true;
           if (info.is_recv) {
-            const graph::VertexId w =
-                g.add_recv(r, info.peer, info.bytes, info.tag);
-            chain(w);
+            Channel::Recv& slot = info.channel->recvs[info.slot];
+            slot.vertex = g.add_recv(r, info.peer, info.bytes, info.tag);
+            chain(slot.vertex);
             if (rdzv(info.bytes)) {
-              g.add_issue_edge(info.vertex, w, /*through_post=*/true);
+              g.add_issue_edge(slot.post, slot.vertex, /*through_post=*/true);
             }
-            recv_slots[{info.peer, r, info.tag}][info.recv_slot] = w;
           } else {
-            const graph::VertexId w = g.add_calc(r, 0.0);
+            const VertexId w = g.add_calc(r, 0.0);
             chain(w);
-            if (rdzv(info.bytes)) completion_target[info.vertex] = w;
+            if (rdzv(info.bytes)) info.channel->sends[info.slot].completion = w;
           }
           break;
         }
@@ -253,48 +315,53 @@ graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
     }
   }
 
+  // Sort the channel keys once: edges are emitted, and errors raised, in
+  // (src, dst, tag) order, so the graph and the first error reported do
+  // not depend on the hash table's iteration order.
+  std::vector<std::pair<MatchKey, const Channel*>> sorted;
+  sorted.reserve(channels.size());
+  for (const auto& [key, ch] : channels) sorted.emplace_back(key, &ch);
+  std::sort(sorted.begin(), sorted.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+
   // Match sends to receives (non-overtaking: k-th send from A to B with tag
   // t pairs with the k-th posted recv at B from A with tag t).
-  for (const auto& [key, sends] : send_slots) {
+  for (const auto& [key, ch] : sorted) {
+    if (ch->sends.empty()) continue;  // reported below
     const auto& [src, dst, tag] = key;
-    const auto it = recv_slots.find(key);
-    const std::size_t nrecvs = it == recv_slots.end() ? 0 : it->second.size();
-    if (nrecvs != sends.size()) {
+    if (ch->recvs.size() != ch->sends.size()) {
       throw SchedError(strformat("unmatched messages %d->%d tag %d: %zu "
                                  "send(s) vs %zu recv(s)",
-                                 src, dst, tag, sends.size(), nrecvs));
+                                 src, dst, tag, ch->sends.size(),
+                                 ch->recvs.size()));
     }
-    for (std::size_t k = 0; k < sends.size(); ++k) {
-      const graph::VertexId s = sends[k];
-      const graph::VertexId rv = it->second[k];
-      if (rv == graph::kInvalidVertex) {
+    for (std::size_t k = 0; k < ch->sends.size(); ++k) {
+      const Channel::Send& s = ch->sends[k];
+      const Channel::Recv& rv = ch->recvs[k];
+      if (rv.vertex == kInvalidVertex) {
         throw SchedError(strformat("recv %d<-%d tag %d slot %zu never "
                                    "completed by a wait", dst, src, tag, k));
       }
-      const bool is_rdzv = rdzv(g.vertex(s).bytes);
-      g.add_comm_edge(s, rv, is_rdzv);
-      if (is_rdzv) {
-        const auto ct = completion_target.find(s);
-        if (ct != completion_target.end()) {
-          const graph::VertexId post = recv_posts[key][k];
-          if (post == graph::kInvalidVertex) {
-            // Blocking receiver: its recv vertex completes exactly at t_r'.
-            g.add_send_completion_edge(rv, ct->second);
-          } else {
-            // Nonblocking receiver: the handshake does not wait for the
-            // receiver's MPI_Wait, only for the posting.
-            g.add_handshake_completion_edges(s, post, ct->second);
-          }
+      const bool is_rdzv = rdzv(g.vertex(s.vertex).bytes);
+      g.add_comm_edge(s.vertex, rv.vertex, is_rdzv);
+      if (is_rdzv && s.completion != kInvalidVertex) {
+        if (rv.post == kInvalidVertex) {
+          // Blocking receiver: its recv vertex completes exactly at t_r'.
+          g.add_send_completion_edge(rv.vertex, s.completion);
+        } else {
+          // Nonblocking receiver: the handshake does not wait for the
+          // receiver's MPI_Wait, only for the posting.
+          g.add_handshake_completion_edges(s.vertex, rv.post, s.completion);
         }
       }
     }
   }
   // Receives with no matching send at all.
-  for (const auto& [key, recvs] : recv_slots) {
-    if (send_slots.find(key) == send_slots.end() && !recvs.empty()) {
+  for (const auto& [key, ch] : sorted) {
+    if (ch->sends.empty()) {
       const auto& [src, dst, tag] = key;
       throw SchedError(strformat("%zu recv(s) %d<-%d tag %d have no sender",
-                                 recvs.size(), dst, src, tag));
+                                 ch->recvs.size(), dst, src, tag));
     }
   }
 

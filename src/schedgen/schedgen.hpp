@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -30,5 +31,15 @@ std::vector<MidStream> expand_trace(const trace::Trace& t, const Options& opts);
 /// streams (useful for hand-written schedules in tests and examples).
 graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
                                       const Options& opts = {});
+
+/// The exact vertex and edge counts build_graph_from_streams produces for
+/// well-formed streams (it reserves them up front, so graph construction
+/// never regrows an array).
+struct GraphSize {
+  std::size_t vertices = 0;
+  std::size_t edges = 0;
+};
+GraphSize count_graph(const std::vector<MidStream>& streams,
+                      const Options& opts = {});
 
 }  // namespace llamp::schedgen

@@ -14,6 +14,7 @@
 #include "topo/spaces.hpp"
 #include "topo/topology.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace llamp::core {
 namespace {
@@ -227,6 +228,75 @@ TEST(CampaignRun, ResultsAreIdenticalAcrossThreadCounts) {
                      format),
               render(campaign_points_table(b, format == OutputFormat::kTable),
                      format));
+  }
+}
+
+/// Every value of one scenario's result, rendered exactly (hex floats for
+/// the fields the CSV rounds): the per-scenario byte wall.
+std::string scenario_bytes(const Campaign::ScenarioResult& res) {
+  std::string out = render(campaign_points_table({res}, false),
+                           OutputFormat::kCsv);
+  out += strformat("base=%a\n", res.base_runtime);
+  for (const auto& pt : res.points) {
+    out += strformat("%a %a %a\n", pt.runtime, pt.lambda, pt.rho);
+  }
+  for (const auto& band : res.bands) {
+    out += strformat("band %a %a\n", band.percent, band.tolerance_delta);
+  }
+  return out;
+}
+
+TEST(CampaignRun, ColdCacheCountsOneBuildPerGraphAndHitsTheRest) {
+  // 16 scenarios over 4 graphs: the first claimant of each graph builds
+  // it, every other scenario of that graph (waiting on the build or not)
+  // is a hit — whatever the thread count.
+  CampaignSpec spec = small_spec();
+  spec.scales = {0.02, 0.03};
+  spec.topologies = {"none", "fat-tree"};
+  spec.configs = {{"a", loggops::NetworkConfig::cscs_testbed(), true},
+                  {"b", loggops::NetworkConfig::piz_daint(), true}};
+  spec.band_percents = {1.0};
+  std::vector<std::string> reference;
+  for (const int threads : {1, 2, 8}) {
+    spec.threads = threads;
+    Campaign c(spec);
+    GraphCache cache;
+    const auto results = c.run({}, cache);
+    ASSERT_EQ(results.size(), 16u);
+    EXPECT_EQ(c.stats().graphs_built, 4u);
+    EXPECT_EQ(cache.stats().built, 4u) << "threads=" << threads;
+    EXPECT_EQ(cache.stats().hits, 12u) << "threads=" << threads;
+    std::vector<std::string> bytes;
+    for (const auto& res : results) bytes.push_back(scenario_bytes(res));
+    if (reference.empty()) {
+      reference = bytes;
+    } else {
+      EXPECT_EQ(bytes, reference) << "threads=" << threads;
+    }
+  }
+}
+
+TEST(CampaignRun, ScenarioOrderNeverChangesAScenariosBytes) {
+  // The run claims scenarios in cost order, not list order; reversing an
+  // explicit list must leave every scenario's result byte-identical.
+  CampaignSpec spec = small_spec();
+  spec.apps = {"lulesh", "hpcg", "icon"};
+  spec.scales = {0.02, 0.03};
+  spec.topologies = {"none", "fat-tree"};
+  spec.band_percents = {1.0};
+  std::vector<Scenario> forward = Campaign(spec).scenarios();
+  std::vector<Scenario> backward(forward.rbegin(), forward.rend());
+  for (const int threads : {1, 8}) {
+    Campaign a(forward, spec.topo, threads);
+    Campaign b(backward, spec.topo, threads);
+    const auto ra = a.run();
+    const auto rb = b.run();
+    ASSERT_EQ(ra.size(), forward.size());
+    ASSERT_EQ(rb.size(), forward.size());
+    for (std::size_t i = 0; i < ra.size(); ++i) {
+      EXPECT_EQ(scenario_bytes(ra[i]), scenario_bytes(rb[rb.size() - 1 - i]))
+          << "scenario " << i << " threads=" << threads;
+    }
   }
 }
 

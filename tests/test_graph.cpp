@@ -38,6 +38,20 @@ TEST(Construction, VertexKindsAndFields) {
   EXPECT_EQ(g.comm_partner(c), kInvalidVertex);
 }
 
+TEST(Construction, ReserveIsBuildOnlyAndLeavesNoSlack) {
+  // An exact reservation changes nothing but allocation: the finalized
+  // graph's footprint equals an unreserved build's trimmed one.
+  Graph reserved(2);
+  reserved.reserve(2, 1);
+  EXPECT_EQ(reserved.memory_bytes(), 2 * sizeof(Vertex) + sizeof(Edge));
+  const auto s = reserved.add_send(0, 1, 100);
+  const auto r = reserved.add_recv(1, 0, 100);
+  reserved.add_comm_edge(s, r, false);
+  reserved.finalize();
+  EXPECT_EQ(reserved.memory_bytes(), two_rank_pair(false).memory_bytes());
+  EXPECT_THROW(reserved.reserve(4, 4), GraphError);
+}
+
 TEST(Construction, Errors) {
   EXPECT_THROW(Graph(0), GraphError);
   Graph g(2);

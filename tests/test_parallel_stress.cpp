@@ -257,7 +257,8 @@ TEST(ObsTraceStress, ConcurrentSpansLandInPerThreadLanes) {
 }
 
 // ---------------------------------------------------------------------------
-// GraphCache: racing first touches of one key, and mixed warm/get traffic.
+// GraphCache: racing first touches of one key, of distinct keys, and mixed
+// cold/warm get traffic.
 // ---------------------------------------------------------------------------
 
 core::GraphKey small_key(double scale) {
@@ -282,11 +283,17 @@ TEST(GraphCacheStress, DistinctKeysBuildInParallelThenHit) {
   const std::vector<core::GraphKey> keys = {
       small_key(0.02), small_key(0.03), {"hpcg", 8, 0.02, kS},
       {"milc", 8, 0.02, kS}};
-  cache.warm(keys, 8);
+  // Concurrent first touches of distinct keys: each builds under its own
+  // key's lock, in parallel, and none of them is a hit.
+  std::vector<const graph::Graph*> built(keys.size(), nullptr);
+  parallel_for(keys.size(), 8,
+               [&](std::size_t i) { built[i] = &cache.get(keys[i]); });
   EXPECT_EQ(cache.stats().built, keys.size());
-  EXPECT_EQ(cache.stats().hits, 0u) << "warm() must not count hits";
+  EXPECT_EQ(cache.stats().hits, 0u) << "a first touch must not count a hit";
+  EXPECT_EQ(std::set<const graph::Graph*>(built.begin(), built.end()).size(),
+            keys.size());
 
-  // Every post-warm get, from any thread, is a pure lookup.
+  // Every later get, from any thread, is a pure lookup.
   constexpr std::size_t kLookups = 64;
   std::vector<const graph::Graph*> got(kLookups, nullptr);
   parallel_for(kLookups, 8, [&](std::size_t i) {
@@ -294,8 +301,9 @@ TEST(GraphCacheStress, DistinctKeysBuildInParallelThenHit) {
   });
   EXPECT_EQ(cache.stats().built, keys.size());
   EXPECT_EQ(cache.stats().hits, kLookups);
-  std::set<const graph::Graph*> distinct(got.begin(), got.end());
-  EXPECT_EQ(distinct.size(), keys.size());
+  for (std::size_t i = 0; i < kLookups; ++i) {
+    EXPECT_EQ(got[i], built[i % keys.size()]);
+  }
 }
 
 TEST(GraphCacheStress, HammerMixedColdAndWarmKeys) {

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
+#include "apps/registry.hpp"
 #include "schedgen/schedgen.hpp"
 #include "test_support.hpp"
 #include "trace/builder.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace llamp::schedgen {
 namespace {
@@ -177,6 +183,56 @@ TEST(Matching, CountMismatchThrows) {
   EXPECT_THROW((void)build_graph_from_streams(streams, Options{}), SchedError);
 }
 
+std::string sched_error(const std::vector<MidStream>& streams) {
+  try {
+    (void)build_graph_from_streams(streams, Options{});
+  } catch (const SchedError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(Matching, UnmatchedSendErrorNamesTheSmallestKey) {
+  // Two unmatched channels, the larger key posted first: the error must
+  // name the smallest (src, dst, tag) key whatever the table's order.
+  std::vector<MidStream> streams(4);
+  streams[3].push_back(MidOp::send(0, 8, 9));
+  streams[1].push_back(MidOp::send(2, 8, 7));
+  streams[1].push_back(MidOp::send(2, 8, 3));
+  streams[2].push_back(MidOp::recv(1, 8, 7));
+  EXPECT_EQ(sched_error(streams),
+            "schedgen: unmatched messages 1->2 tag 3: 1 send(s) vs 0 "
+            "recv(s)");
+  streams[2].push_back(MidOp::recv(1, 8, 3));
+  EXPECT_EQ(sched_error(streams),
+            "schedgen: unmatched messages 3->0 tag 9: 1 send(s) vs 0 "
+            "recv(s)");
+}
+
+TEST(Matching, SenderlessRecvErrorNamesTheSmallestKey) {
+  std::vector<MidStream> streams(4);
+  streams[2].push_back(MidOp::recv(3, 8, 0));
+  streams[1].push_back(MidOp::recv(0, 8, 4));
+  streams[1].push_back(MidOp::recv(0, 8, 4));
+  EXPECT_EQ(sched_error(streams),
+            "schedgen: 2 recv(s) 1<-0 tag 4 have no sender");
+  streams[0].push_back(MidOp::send(1, 8, 4));
+  streams[0].push_back(MidOp::send(1, 8, 4));
+  EXPECT_EQ(sched_error(streams),
+            "schedgen: 1 recv(s) 2<-3 tag 0 have no sender");
+}
+
+TEST(Matching, SendCountMismatchIsReportedBeforeSenderlessRecvs) {
+  // A senderless channel with a smaller key than a short-received one:
+  // count mismatches over all channels are reported first.
+  std::vector<MidStream> streams(3);
+  streams[1].push_back(MidOp::recv(0, 8, 0));
+  streams[2].push_back(MidOp::send(1, 8, 0));
+  EXPECT_EQ(sched_error(streams),
+            "schedgen: unmatched messages 2->1 tag 0: 1 send(s) vs 0 "
+            "recv(s)");
+}
+
 TEST(Matching, NonOvertakingOrderPreserved) {
   // Two same-tag messages: first send pairs with first posted recv.
   std::vector<MidStream> streams(2);
@@ -229,6 +285,125 @@ TEST(RandomPrograms, AlwaysBuildValidGraphs) {
     EXPECT_GT(g.num_vertices(), 0u);
     EXPECT_GT(g.num_comm_edges(), 0u);
   }
+}
+
+
+TEST(GraphSize, PreCountIsExact) {
+  // build_graph_from_streams reserves count_graph's figures; they must be
+  // exact or construction regrows its arrays.
+  const auto check = [](const trace::Trace& t, std::uint64_t S) {
+    Options opt;
+    opt.rendezvous_threshold = S;
+    const auto streams = expand_trace(t, opt);
+    const GraphSize n = count_graph(streams, opt);
+    const graph::Graph g = build_graph_from_streams(streams, opt);
+    EXPECT_EQ(n.vertices, g.num_vertices()) << "S=" << S;
+    EXPECT_EQ(n.edges, g.num_edges()) << "S=" << S;
+  };
+  for (const std::uint64_t S : {std::uint64_t{64}, std::uint64_t{4096},
+                                std::uint64_t{256 * 1024}}) {
+    for (const char* app : {"lulesh", "hpcg", "milc", "icon"}) {
+      check(apps::make_app_trace(app, 8, 0.02), S);
+    }
+    for (std::uint64_t seed = 0; seed < 5; ++seed) {
+      testing::RandomProgramConfig cfg;
+      cfg.seed = seed;
+      check(testing::random_trace(cfg), S);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Graph-bytes golden wall: schedgen's output is pinned by a digest of every
+// vertex, every edge in id order, and the topological order.  Any change to
+// matching order, edge emission, or finalize() shows up here, not only in
+// the downstream analysis bytes.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over the graph's fields, hashed field by field (never raw struct
+/// bytes, whose padding is unspecified).
+std::uint64_t graph_digest(const graph::Graph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const auto mix_int = [&mix](std::int64_t x) {
+    mix(static_cast<std::uint64_t>(x));
+  };
+  mix_int(g.nranks());
+  mix(g.num_vertices());
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+    const graph::Vertex& x = g.vertex(v);
+    mix(static_cast<std::uint64_t>(x.kind));
+    mix_int(x.rank);
+    mix_int(x.peer);
+    mix_int(x.tag);
+    mix(x.bytes);
+    mix(std::bit_cast<std::uint64_t>(x.duration));
+  }
+  mix(g.num_edges());
+  for (const graph::Edge& e : g.edges()) {
+    mix(e.from);
+    mix(e.to);
+    mix(static_cast<std::uint64_t>(e.kind));
+    mix(e.o_mult);
+    mix(e.l_mult);
+    mix(e.bytes);
+  }
+  for (const graph::VertexId v : g.topo_order()) mix(v);
+  return h;
+}
+
+std::string hex(std::uint64_t x) {
+  return strformat("0x%016llx", static_cast<unsigned long long>(x));
+}
+
+struct GoldenGraph {
+  const char* app;
+  std::uint64_t S;
+  const char* digest;
+};
+
+TEST(GraphGolden, AppGraphDigestsArePinned) {
+  // Default threshold, plus one small S that turns most messages into
+  // rendezvous (issue edges, handshake-completion edges).
+  constexpr GoldenGraph kGolden[] = {
+      {"lulesh", 256 * 1024, "0x1556b9b169bff242"},
+      {"hpcg", 256 * 1024, "0x56b1a407587bedd0"},
+      {"milc", 256 * 1024, "0x584b0d6612ffbc41"},
+      {"icon", 256 * 1024, "0xb19133335fe5c5e0"},
+      {"hpcg", 1024, "0x31dd3c6affbfeda2"},
+  };
+  for (const GoldenGraph& want : kGolden) {
+    Options opt;
+    opt.rendezvous_threshold = want.S;
+    const graph::Graph g =
+        build_graph(apps::make_app_trace(want.app, 8, 0.02), opt);
+    EXPECT_EQ(hex(graph_digest(g)), want.digest)
+        << want.app << "-8 scale 0.02 S=" << want.S;
+  }
+}
+
+TEST(GraphGolden, RendezvousProgramDigestIsPinned) {
+  // Blocking and nonblocking rendezvous exchanges mixed with collectives:
+  // covers the blocking-receiver send-completion edge the app proxies
+  // never emit.
+  testing::RandomProgramConfig cfg;
+  cfg.seed = 3;
+  Options opt;
+  opt.rendezvous_threshold = 4096;
+  const graph::Graph g = build_graph(testing::random_trace(cfg), opt);
+  std::size_t from_recv = 0;
+  for (const graph::Edge& e : g.edges()) {
+    from_recv += e.kind == EdgeKind::kSendCompletion &&
+                 g.vertex(e.from).kind == VertexKind::kRecv;
+  }
+  EXPECT_GT(from_recv, 0u);
+  EXPECT_GT(count_kind(g, VertexKind::kPost), 0u);
+  EXPECT_EQ(hex(graph_digest(g)), "0x76eb63a06652b20e");
 }
 
 }  // namespace
