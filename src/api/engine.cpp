@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <ostream>
 #include <utility>
@@ -17,6 +18,7 @@
 #include "topo/topology.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
+#include "util/parallel.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -291,8 +293,8 @@ std::string to_json_line(const Response& res) {
 Engine::Engine() : Engine(Options{}) {}
 
 Engine::Engine(Options opts)
-    : pool_(opts.threads),
-      workspaces_(static_cast<std::size_t>(pool_.size())) {
+    : workspaces_(static_cast<std::size_t>(
+          effective_threads(SIZE_MAX, opts.threads))) {
   // Pre-register every hot-path handle once, here, so instrumentation
   // sites are a single array-indexed relaxed add (llamp-lint's hot-metric
   // rule rejects string lookups inside declared hot-path regions).
@@ -314,6 +316,10 @@ Engine::Engine(Options opts)
   handles_.mc_lane_groups = metrics_.counter("mc.lane_groups");
   handles_.mc_lane_slots = metrics_.counter("mc.lane_slots");
   handles_.mc_lane_samples = metrics_.counter("mc.lane_samples");
+  handles_.pool_jobs = metrics_.counter("pool.jobs");
+  handles_.pool_tasks = metrics_.counter("pool.tasks");
+  handles_.pool_busy_ns = metrics_.gauge("pool.busy_ns");
+  metrics_.gauge("pool.size").set(effective_threads(SIZE_MAX, 0));
   start_time_ = monotonic_now();
 }
 
@@ -759,44 +765,28 @@ Response Engine::run_on(int worker, const Request& req) {
   return std::visit(Visitor{*this, worker}, req);
 }
 
-namespace {
-
-/// A copy of the request with its inner parallelism knob forced to 1
-/// (types without one — topo, place — pass through unchanged).
-Request single_threaded(Request req) {
-  std::visit(
-      [](auto& r) {
-        if constexpr (requires { r.threads; }) r.threads = 1;
-      },
-      req);
-  return req;
-}
-
-}  // namespace
-
 std::vector<Engine::Outcome> Engine::run_batch(
     const std::vector<Request>& requests, int threads) {
-  // One batch at a time: the pool's job slot and the per-worker
-  // workspaces are not shareable across concurrent batches.
+  // One batch at a time: the per-slot workspaces are not shareable across
+  // concurrent batches.
   const std::lock_guard<std::mutex> lock(batch_mutex_);
   const obs::SpanScope span(tracer_, "batch.run");
   handles_.batches.inc();
   handles_.batch_requests.inc(requests.size());
+  handles_.pool_jobs.inc();
+  handles_.pool_tasks.inc(requests.size());
   std::vector<Outcome> outcomes(requests.size());
-  // When the batch itself fans out, request-level parallelism wins: each
-  // request runs its sweeps/samples single-threaded instead of spawning a
-  // hardware-concurrency pool next to W already-busy workers.  Thread
-  // counts never change result bytes (the repo-wide determinism
-  // contract), so this is purely a scheduling choice.
-  const int cap = threads > 0 ? std::min(threads, pool_.size()) : pool_.size();
-  const bool parallel_batch = effective_threads(requests.size(), cap) > 1;
-  pool_.for_workers(requests.size(), threads, [&](int worker, std::size_t i) {
+  // Each request's own loops nest on the same bounded executor, so a
+  // request keeps its threads setting: a busy executor simply leaves the
+  // inner loop to its caller.
+  const int cap = static_cast<int>(workspaces_.size());
+  const int slots = threads > 0 ? std::min(threads, cap) : cap;
+  parallel_for(requests.size(), slots, [&](int slot, std::size_t i) {
     // One request's failure is its own outcome, never the batch's: the
     // remaining lines still execute and emit in order.
     const TimeNs t0 = monotonic_now();
     try {
-      outcomes[i].response = run_on(
-          worker, parallel_batch ? single_threaded(requests[i]) : requests[i]);
+      outcomes[i].response = run_on(slot, requests[i]);
     } catch (const UsageError& e) {
       outcomes[i].error = e.what();
       outcomes[i].usage_error = true;
@@ -808,9 +798,12 @@ std::vector<Engine::Outcome> Engine::run_batch(
   // Per-request latencies feed the batch histogram in input order from
   // this (single) thread, not from the workers — so the quantile sketch's
   // feed order is deterministic whatever the thread count.
+  TimeNs busy_ns = 0.0;
   for (const Outcome& o : outcomes) {
     handles_.batch_request_ns.record(o.elapsed_ns);
+    busy_ns += o.elapsed_ns;
   }
+  handles_.pool_busy_ns.add(busy_ns);
   return outcomes;
 }
 
@@ -831,15 +824,12 @@ obs::Snapshot Engine::metrics_snapshot() const {
   // determinism contract.
   const core::GraphCache::Stats gc = cache_.stats();
   const core::SolverCache::Stats sc = solver_cache_.stats();
-  const ThreadPool::Stats ps = pool_.stats();
   snap.set_counter("graph_cache.built", gc.built);
   snap.set_counter("graph_cache.hits", gc.hits);
   snap.set_counter("solver_cache.built", sc.built);
   snap.set_counter("solver_cache.hits", sc.hits);
   snap.set_counter("solver_cache.anchor_solves", sc.anchor_solves);
   snap.set_counter("solver_cache.replays", sc.replays);
-  snap.set_counter("pool.jobs", ps.jobs);
-  snap.set_counter("pool.tasks", ps.tasks);
   // Scrape bookkeeping: the sequence number orders snapshots of one
   // session (monotonic from 1; a restart resets it), uptime stamps them.
   snap.set_counter("engine.metrics_seq",
@@ -848,9 +838,6 @@ obs::Snapshot Engine::metrics_snapshot() const {
   snap.set_gauge("graph_cache.bytes", static_cast<double>(gc.bytes));
   snap.set_gauge("solver_cache.anchor_bytes",
                  static_cast<double>(sc.anchor_bytes));
-  snap.set_gauge("pool.busy_ns", static_cast<double>(ps.busy_ns));
-  snap.set_gauge("pool.size", static_cast<double>(pool_.size()));
-  snap.set_gauge("pool.slices", static_cast<double>(ps.slices));
   return snap;
 }
 

@@ -20,7 +20,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "stoch/mc.hpp"
-#include "util/parallel.hpp"
 #include "util/time.hpp"
 
 namespace llamp::api {
@@ -134,24 +133,28 @@ std::string to_json_line(const Response& res);
 ///    campaign engine's — repeated requests for one scenario re-lower
 ///    nothing, across request types (an analyze warms the graph a later
 ///    sweep or campaign of the same app reuses);
-///  * a persistent util/parallel ThreadPool for batch execution; and
-///  * one ParametricSolver::Workspace per pool worker, reused by the
+///  * one ParametricSolver::Workspace per batch slot, reused by the
 ///    engine's direct solver paths so steady-state solves stay
 ///    allocation-free.
 ///
+/// Parallel work — a batch's requests and every request's own loops — runs
+/// on util/parallel's one process-wide executor; constructing an engine
+/// starts no thread.
+///
 /// Execution is deterministic: a result's bytes depend only on the
-/// request, never on the cache's prior contents, the pool size, or the
-/// thread count (the campaign header's "distinct graphs" deliberately
-/// counts the grid's keys, not physical builds).
+/// request, never on the cache's prior contents or the thread count (the
+/// campaign header's "distinct graphs" deliberately counts the grid's
+/// keys, not physical builds).
 ///
 /// Thread-safety: the graph cache is safe under concurrent use, and
-/// concurrent run_batch() calls serialize on an internal lock (the pool
-/// runs one job at a time); single-request methods may be called from one
-/// thread at a time (the batch path hands each worker its own workspace).
+/// concurrent run_batch() calls serialize on an internal lock (the
+/// per-slot workspaces are not shared across batches); single-request
+/// methods may be called from one thread at a time (the batch path hands
+/// each slot its own workspace).
 class Engine {
  public:
   struct Options {
-    int threads = 0;  ///< pool size; <= 0 = hardware concurrency
+    int threads = 0;  ///< cap on run_batch's fan-out; <= 0 = the executor
   };
   Engine();
   explicit Engine(Options opts);
@@ -168,9 +171,9 @@ class Engine {
   /// Variant dispatch of the above.
   Response run(const Request& req);
 
-  /// Execute a batch on the engine's pool, `threads` workers at most
-  /// (<= 0 = the whole pool).  outcomes[i] holds request i's response or
-  /// its error; order is input order whatever the thread count.
+  /// Execute a batch on the executor, `threads` slots at most (<= 0 = the
+  /// engine's cap).  outcomes[i] holds request i's response or its error;
+  /// order is input order whatever the thread count.
   struct Outcome {
     std::optional<Response> response;  ///< engaged on success
     std::string error;                 ///< non-empty on failure
@@ -207,8 +210,8 @@ class Engine {
   obs::Tracer& tracer() { return tracer_; }
 
   /// Merged metrics snapshot as canonical single-line JSON — the payload a
-  /// future /metrics endpoint serves.  Includes the cache and pool
-  /// statistics as imported counters/gauges.
+  /// future /metrics endpoint serves.  Includes the cache statistics as
+  /// imported counters/gauges.
   std::string metrics_json() const;
   /// Human multi-line form of the same snapshot (`llamp stats`).
   std::string metrics_string() const;
@@ -219,8 +222,6 @@ class Engine {
   /// Feeds /healthz and the engine.uptime_ns snapshot gauge — a timing
   /// value, so it never appears in result bytes.
   std::uint64_t uptime_ns() const;
-
-  ThreadPool& pool() { return pool_; }
 
  private:
   /// Clamp/validate an AppSpec into a concrete scenario (the shared
@@ -272,6 +273,9 @@ class Engine {
     obs::Counter mc_lane_groups;    ///< mc.lane_groups (sample groups)
     obs::Counter mc_lane_slots;     ///< mc.lane_slots (groups x width)
     obs::Counter mc_lane_samples;   ///< mc.lane_samples (occupied slots)
+    obs::Counter pool_jobs;         ///< pool.jobs (one per batch)
+    obs::Counter pool_tasks;        ///< pool.tasks (one per batch request)
+    obs::Gauge pool_busy_ns;        ///< pool.busy_ns (summed request time)
   };
 
   core::GraphCache cache_;
@@ -279,16 +283,13 @@ class Engine {
   /// beside the graph cache.  Declared after cache_ (and therefore
   /// destroyed first): entries reference session graphs.
   core::SolverCache solver_cache_;
-  /// Observability state is declared before pool_ so the pool's workers
-  /// join before the tracer and registry are destroyed — a worker must
-  /// never record into a dead lane.
   obs::Registry metrics_;
   obs::Tracer tracer_;
   MetricHandles handles_;
-  ThreadPool pool_;
+  /// One workspace per batch slot; its size is the batch fan-out cap.
   std::vector<lp::ParametricSolver::Workspace> workspaces_;
-  /// Serializes run_batch callers: the pool runs one job at a time, and
-  /// the per-worker workspaces must not be shared across batches.
+  /// Serializes run_batch callers: the per-slot workspaces must not be
+  /// shared across batches.
   std::mutex batch_mutex_;
   /// Construction instant (uptime_ns's zero point).
   TimeNs start_time_ = 0.0;

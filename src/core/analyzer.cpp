@@ -99,9 +99,9 @@ double LatencyAnalyzer::lambda_G() const {
 
 std::vector<LatencyAnalyzer::SweepPoint> LatencyAnalyzer::sweep(
     const std::vector<TimeNs>& delta_Ls, int threads) const {
-  // Validate the whole grid before any worker thread exists, so bad input
-  // raises a clean Error on the calling thread instead of depending on
-  // exception propagation out of the pool.
+  // Validate the whole grid before the loop fans out, so bad input raises
+  // a clean Error on the calling thread instead of depending on exception
+  // propagation out of the executor.
   bool ascending = true;
   for (std::size_t i = 0; i < delta_Ls.size(); ++i) {
     const TimeNs d = delta_Ls[i];
@@ -132,7 +132,7 @@ std::vector<LatencyAnalyzer::SweepPoint> LatencyAnalyzer::sweep(
     const int nworkers = effective_threads(n, threads);
     std::vector<lp::ParametricSolver::Workspace> wss(
         static_cast<std::size_t>(nworkers));
-    parallel_for_workers(n, threads, [&](int w, std::size_t i) {
+    parallel_for(n, threads, [&](int w, std::size_t i) {
       const auto ev =
           warm_->eval(0, xs[i], wss[static_cast<std::size_t>(w)]);
       fill(i, ev.value, ev.slope);
@@ -148,7 +148,7 @@ std::vector<LatencyAnalyzer::SweepPoint> LatencyAnalyzer::sweep(
         static_cast<std::size_t>(effective_threads(n, threads));
     std::vector<lp::ParametricSolver::Workspace> wss(nchunks);
     std::vector<lp::ParametricSolver::SweepEval> evals(n);
-    parallel_for(nchunks, threads, [&](std::size_t c) {
+    parallel_for(nchunks, threads, [&](int, std::size_t c) {
       const std::size_t begin = n * c / nchunks;
       const std::size_t end = n * (c + 1) / nchunks;
       solver_.sweep(0, std::span(xs).subspan(begin, end - begin), wss[c],
@@ -166,7 +166,7 @@ std::vector<LatencyAnalyzer::SweepPoint> LatencyAnalyzer::sweep(
     std::vector<lp::ParametricSolver::BatchCursor> bcs(
         static_cast<std::size_t>(nworkers));
     std::vector<lp::ParametricSolver::BatchPoint> pts(n);
-    parallel_for_workers(groups, threads, [&](int w, std::size_t gi) {
+    parallel_for(groups, threads, [&](int w, std::size_t gi) {
       const std::size_t lo = gi * lp::kBatchWidth;
       const std::size_t lanes = std::min(lp::kBatchWidth, n - lo);
       solver_.solve_batch(0, xs.data() + lo, lanes,

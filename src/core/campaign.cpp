@@ -459,23 +459,21 @@ std::vector<Campaign::ScenarioResult> Campaign::run(const Probe& probe,
   // the cache's per-key lock, and later claimants of the same graph wait for
   // that build (or hit).  Each job writes only its own result slot, so the
   // result order is grid order whatever the thread count and claim race.
-  // Each worker thread owns one solve workspace, reused across all
-  // scenarios it serves — steady-state solves allocate nothing.
+  // Each slot owns one solve workspace, reused across all scenarios it
+  // serves — steady-state solves allocate nothing.
   std::size_t distinct_graphs = 0;
   const std::vector<std::size_t> order =
       cost_order(scenarios_, distinct_graphs);
   std::vector<ScenarioResult> results(scenarios_.size());
-  const int nworkers = effective_threads(scenarios_.size(), threads_);
-  std::vector<lp::ParametricSolver::Workspace> wss(
-      static_cast<std::size_t>(nworkers));
-  parallel_for_workers_chunked(
-      order.size(), threads_, 1, [&](int w, std::size_t j) {
-        const std::size_t i = order[j];
-        const Scenario& s = scenarios_[i];
-        const graph::Graph& g = cache.get(graph_key(s));
-        results[i] = eval_scenario(s, g, topo_, mc_, probe, solvers,
-                                   wss[static_cast<std::size_t>(w)]);
-      });
+  std::vector<lp::ParametricSolver::Workspace> wss(static_cast<std::size_t>(
+      effective_threads(scenarios_.size(), threads_)));
+  parallel_for(order.size(), threads_, [&](int w, std::size_t j) {
+    const std::size_t i = order[j];
+    const Scenario& s = scenarios_[i];
+    const graph::Graph& g = cache.get(graph_key(s));
+    results[i] = eval_scenario(s, g, topo_, mc_, probe, solvers,
+                               wss[static_cast<std::size_t>(w)]);
+  });
 
   stats_.graphs_built = distinct_graphs;
   stats_.scenarios_run = scenarios_.size();

@@ -159,7 +159,7 @@ class Histogram {
 };
 
 /// A merged, name-sorted view of a registry (plus any values the owner
-/// imports — the engine folds its cache and pool statistics in before
+/// imports — the engine folds its cache statistics in before
 /// emission, so external atomics don't need registry cells).
 struct HistogramSnapshot {
   std::string name;

@@ -79,7 +79,11 @@ void Server::start() {
     bound_port_ = ntohs(bound.sin_port);
   }
 
+  // llamp-lint: allow(conc-thread): the daemon's one request executor, a
+  // long-lived queue consumer rather than a parallel loop
   executor_thread_ = std::thread([this] { executor_loop(); });
+  // llamp-lint: allow(conc-thread): the IO thread owns every socket for the
+  // server's lifetime; it blocks in poll(), never in a loop body
   io_thread_ = std::thread([this] { io_loop(); });
 }
 

@@ -25,9 +25,10 @@ namespace llamp::serve {
 ///    observable while a long campaign runs;
 ///  * the executor thread runs *queued* routes (the /v1/* analysis
 ///    endpoints) strictly one at a time, in dispatch order.  Requests
-///    execute on the shared api::Engine, whose own thread pool provides
-///    the intra-request parallelism (`--threads`); serializing requests
-///    is what makes the wire-level determinism contract trivial to
+///    execute on the shared api::Engine; each request's own loops run on
+///    util/parallel's process-wide executor, capped by the request's
+///    "threads" field, so the daemon's thread count stays bounded
+///    whatever a client asks for.  Serializing requests is what makes the wire-level determinism contract trivial to
 ///    uphold — a response's bytes depend only on its request's bytes,
 ///    never on connection interleaving.
 ///

@@ -31,7 +31,7 @@ namespace llamp::serve {
 ///
 /// Determinism contract: for the six /v1/* routes, identical request
 /// *body bytes* produce identical response *body bytes*, whatever the
-/// connection interleaving, keep-alive reuse, engine pool size, or prior
+/// connection interleaving, keep-alive reuse, thread counts, or prior
 /// cache state — the engine's repo-wide determinism wall, extended to the
 /// wire (pinned by tests/test_serve.cpp).  /healthz and /metrics carry
 /// uptime and timing values and are exempt.

@@ -216,7 +216,7 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
     const std::size_t bn = std::min(block, total - block_start);
     if (batched) {
       const std::size_t groups = (bn + lp::kBatchWidth - 1) / lp::kBatchWidth;
-      parallel_for_workers(groups, spec.threads, [&](int w, std::size_t gi) {
+      parallel_for(groups, spec.threads, [&](int w, std::size_t gi) {
         WorkerScratch& sc = scratch[static_cast<std::size_t>(w)];
         const std::size_t g0 = gi * lp::kBatchWidth;
         const std::size_t lanes = std::min(lp::kBatchWidth, bn - g0);
@@ -274,11 +274,9 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
     // The scalar path: per-sample solves, either because batching is off
     // (spec.batch) or because each sample lowers its own perturbed space.
     // The general edge-noise path has imbalanced per-sample cost (the drawn
-    // operating point reshapes every solve), so samples are claimed by
-    // chunked self-scheduling rather than static striding — a worker that
-    // drew expensive samples simply claims fewer.
-    parallel_for_workers_chunked(bn, spec.threads, 1, [&](int w,
-                                                          std::size_t j) {
+    // operating point reshapes every solve); parallel_for's one-at-a-time
+    // claiming lets a slot that drew expensive samples simply claim fewer.
+    parallel_for(bn, spec.threads, [&](int w, std::size_t j) {
       WorkerScratch& sc = scratch[static_cast<std::size_t>(w)];
       const std::size_t i = block_start + j;
       Rng rng(sample_seed(spec.seed, i));

@@ -103,9 +103,10 @@ observability options (every engine subcommand):
 serve options:
   --port=N          listen port on 127.0.0.1 (default 8080; 0 = ephemeral,
                     the bound port is printed on the listen line)
-  --threads=N       engine pool size for intra-request parallelism,
-                    <= 0 = hardware concurrency (requests themselves run
-                    one at a time — responses are deterministic whatever N)
+  --threads=N       caps the engine's batch fan-out, which no /v1 route
+                    uses: requests run one at a time, each request's loops
+                    on the process-wide executor, capped by the request's
+                    own "threads" field (responses are identical whatever N)
   --max-inflight=N  queued analysis requests admitted at once; the next
                     request gets 503 + Retry-After (default 64)
 
@@ -686,16 +687,11 @@ int run(int argc, const char* const* argv, std::ostream& out,
   const Cli cli(static_cast<int>(cargs.size()), cargs.data());
   try {
     // One engine session per invocation: every subcommand dispatches
-    // through it, sharing the graph cache and workspace pool.  Only batch
-    // fans requests out, so its pool is sized from --threads (matching the
-    // free parallel_for semantics: the requested count wins even above the
-    // hardware concurrency); the other subcommands run on a 1-worker pool.
-    // serve sizes the pool from --threads too: the daemon runs requests
-    // one at a time, the pool is each request's inner parallelism.
-    api::Engine engine(api::Engine::Options{
-        .threads = (sub == "batch" || sub == "stats" || sub == "serve")
-                       ? int_flag(cli, "threads", 0)
-                       : 1});
+    // through it, sharing the graph cache.  --threads caps the engine's
+    // batch fan-out; every loop runs on the one process-wide executor,
+    // which starts with the first loop that fans out, not here.
+    api::Engine engine(
+        api::Engine::Options{.threads = int_flag(cli, "threads", 0)});
     // --trace-out: the file opens before any work runs (a bad path must
     // fail fast, not after a long campaign), recording is enabled for the
     // whole dispatch, and the trace is written after it completes —

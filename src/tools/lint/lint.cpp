@@ -31,6 +31,7 @@ namespace {
 constexpr const char* kDetRand = "det-rand";
 constexpr const char* kDetClock = "det-clock";
 constexpr const char* kDetUnordered = "det-unordered";
+constexpr const char* kConcThread = "conc-thread";
 constexpr const char* kHotAlloc = "hot-alloc";
 constexpr const char* kHotMetric = "hot-metric";
 constexpr const char* kHotRegion = "hot-region";
@@ -47,6 +48,7 @@ struct FileClass {
   bool header = false;        ///< *.hpp
   bool clock_exempt = false;  ///< util/time.hpp, bench/: may read clocks
   bool print_exempt = false;  ///< src/tools/, util/cli.cpp: may use cout/cerr
+  bool thread_exempt = false;  ///< util/parallel.cpp: owns the executor
   bool emitter = false;       ///< byte-determinism-critical serialization
   bool hot_designated = false;  ///< must contain >= 1 hot-path region
 };
@@ -76,6 +78,7 @@ FileClass classify(std::string_view rel) {
       rel == "src/util/time.hpp" || rel.substr(0, 6) == "bench/";
   fc.print_exempt =
       rel.substr(0, 10) == "src/tools/" || rel == "src/util/cli.cpp";
+  fc.thread_exempt = rel == "src/util/parallel.cpp";
   fc.emitter = is_emitter_path(rel);
   fc.hot_designated = rel == "src/lp/parametric.cpp" ||
                       rel == "src/lp/batch.cpp" || rel == "src/stoch/mc.cpp";
@@ -320,6 +323,24 @@ bool std_qualified(std::string_view code, std::size_t begin) {
   return i == 0 || !ident_char(code[i - 1]);
 }
 
+/// True when the type token ending at `end` constructs an object: it is
+/// called or braced (`T(...)`, `T{...}`), declares a constructed variable
+/// (`T name(...)`, `T name{...}`), or closes a container's element type
+/// (`vector<T>`, whose emplace_back constructs).  A plain declaration
+/// (`T name;`), a reference, or a nested name (`T::id`) is not.
+bool constructs(std::string_view code, std::size_t end) {
+  const char next = next_nonspace(code, end);
+  if (next == '(' || next == '{' || next == '>') return true;
+  std::size_t i = end;
+  while (i < code.size() && std::isspace(static_cast<unsigned char>(code[i]))) {
+    ++i;
+  }
+  if (i == code.size() || !ident_char(code[i])) return false;
+  while (i < code.size() && ident_char(code[i])) ++i;
+  const char after = next_nonspace(code, i);
+  return after == '(' || after == '{';
+}
+
 // ---------------------------------------------------------------------------
 // Directives: `// llamp-lint: ...`.
 // ---------------------------------------------------------------------------
@@ -442,6 +463,9 @@ const std::vector<RuleInfo>& rule_catalogue() {
       {"det-unordered",
        "unordered container in an emitter/serialization file; iteration "
        "order is unspecified and golden bytes would vary by libc++"},
+      {"conc-thread",
+       "std::thread construction outside util/parallel.cpp; parallel loops "
+       "run on the one bounded executor (parallel_for)"},
       {"hot-alloc",
        "allocation in a '// llamp-lint: hot-path' region (new/make_unique/"
        "make_shared/push_back/emplace_back/resize/reserve/std::string)"},
@@ -597,6 +621,12 @@ std::vector<Finding> lint_file(const std::string& relpath,
         raw.push_back({relpath, line, kIostream,
                        "'std::" + std::string(tok) +
                            "' outside src/tools/ and src/util/cli.cpp"});
+      } else if ((tok == "thread" || tok == "jthread") && !fc.thread_exempt &&
+                 std_qualified(code, begin) && constructs(code, end)) {
+        raw.push_back({relpath, line, kConcThread,
+                       "'std::" + std::string(tok) +
+                           "' constructed outside util/parallel.cpp; run "
+                           "parallel loops through parallel_for"});
       } else if (in_region(line)) {
         if (hot_alloc_idents().count(tok) != 0) {
           raw.push_back({relpath, line, kHotAlloc,

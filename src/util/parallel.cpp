@@ -2,202 +2,179 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <exception>
 #include <mutex>
+#include <system_error>
 #include <thread>
 #include <vector>
 
 namespace llamp {
+namespace {
+
+/// Helpers plus the calling thread.
+int executor_size() {
+  static const int size =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  return size;
+}
+
+/// One parallel_for call in flight.  It lives on its caller's stack: the
+/// caller unpublishes it and waits for every helper that joined it before
+/// returning, so no helper ever touches a dead Loop.
+struct Loop {
+  std::size_t n = 0;
+  int slots = 0;  ///< participants wanted, the caller included
+  const std::function<void(int, std::size_t)>* fn = nullptr;
+  std::atomic<std::size_t> next{0};  ///< next unclaimed index
+  std::atomic<bool> failed{false};   ///< stop claiming after a throw
+  // Guarded by the executor's mutex.
+  int joined = 1;   ///< slots handed out; the caller holds slot 0
+  int running = 0;  ///< helpers still draining this loop
+  std::exception_ptr error;
+  std::condition_variable done;
+};
+
+class Executor {
+ public:
+  /// Started by the first loop that fans out; joined at exit.
+  static Executor& instance() {
+    static Executor executor;
+    return executor;
+  }
+
+  Executor(const Executor&) = delete;
+  Executor& operator=(const Executor&) = delete;
+
+  ~Executor() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+      while (!idle_.empty()) wake_one();
+    }
+    for (std::thread& t : helpers_) t.join();
+  }
+
+  void run(Loop& loop) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      open_.push_back(&loop);
+      for (int k = 1; k < loop.slots && !idle_.empty(); ++k) wake_one();
+    }
+    drain(loop, 0);
+    std::unique_lock<std::mutex> lock(mutex_);
+    close(loop);
+    loop.done.wait(lock, [&] { return loop.running == 0; });
+    if (loop.error) {
+      lock.unlock();
+      std::rethrow_exception(loop.error);
+    }
+  }
+
+ private:
+  /// Where an idle helper blocks.
+  struct Parking {
+    std::condition_variable wake;
+    bool woken = false;
+  };
+
+  Executor() {
+    const int helpers = executor_size() - 1;
+    idle_.reserve(static_cast<std::size_t>(helpers));
+    try {
+      for (int h = 0; h < helpers; ++h) {
+        helpers_.emplace_back([this] { help(); });
+      }
+    } catch (const std::system_error&) {
+      // Fewer helpers only means less parallelism: every caller drains its
+      // own loop.
+    }
+  }
+
+  /// Wake the most recently parked helper (mutex held).  Last in, first
+  /// out, so a run of narrow loops keeps reusing the same few helpers —
+  /// their caches and malloc arenas stay warm, and the others stay asleep.
+  void wake_one() {
+    Parking* p = idle_.back();
+    idle_.pop_back();
+    p->woken = true;
+    p->wake.notify_one();
+  }
+
+  /// Stop handing out slots of `loop` (mutex held).
+  void close(Loop& loop) {
+    const auto it = std::find(open_.begin(), open_.end(), &loop);
+    if (it != open_.end()) open_.erase(it);
+  }
+
+  void help() {
+    Parking parking;
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (!stop_) {
+      if (open_.empty()) {
+        parking.woken = false;
+        idle_.push_back(&parking);
+        parking.wake.wait(lock, [&] { return parking.woken; });
+        continue;
+      }
+      Loop& loop = *open_.front();
+      if (loop.next.load() >= loop.n) {
+        close(loop);  // every index is claimed; nothing left to help with
+        continue;
+      }
+      const int slot = loop.joined++;
+      if (loop.joined == loop.slots) close(loop);
+      ++loop.running;
+      lock.unlock();
+      drain(loop, slot);
+      lock.lock();
+      if (--loop.running == 0) loop.done.notify_one();
+    }
+  }
+
+  void drain(Loop& loop, int slot) {
+    try {
+      while (!loop.failed.load()) {
+        const std::size_t i = loop.next.fetch_add(1);
+        if (i >= loop.n) return;
+        (*loop.fn)(slot, i);
+      }
+    } catch (...) {
+      loop.failed.store(true);
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (!loop.error) loop.error = std::current_exception();
+    }
+  }
+
+  std::mutex mutex_;
+  // Guarded by mutex_.
+  std::vector<Loop*> open_;  ///< loops still handing out slots, oldest first
+  std::vector<Parking*> idle_;  ///< parked helpers, most recent last
+  bool stop_ = false;
+  std::vector<std::thread> helpers_;  ///< last: helpers use the members above
+};
+
+}  // namespace
 
 int effective_threads(std::size_t n, int threads) {
-  int nthreads = threads > 0
-                     ? threads
-                     : static_cast<int>(std::thread::hardware_concurrency());
-  return std::max(1, std::min<int>(nthreads, static_cast<int>(n)));
-}
-
-void parallel_for_workers(std::size_t n, int threads,
-                          const std::function<void(int, std::size_t)>& fn) {
-  const int nthreads = effective_threads(n, threads);
-  if (nthreads == 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(0, i);
-    return;
-  }
-  std::vector<std::thread> pool;
-  std::exception_ptr error;
-  std::mutex error_mutex;
-  for (int t = 0; t < nthreads; ++t) {
-    pool.emplace_back([&, t] {
-      try {
-        for (std::size_t i = static_cast<std::size_t>(t); i < n;
-             i += static_cast<std::size_t>(nthreads)) {
-          fn(t, i);
-        }
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
-      }
-    });
-  }
-  for (auto& th : pool) th.join();
-  if (error) std::rethrow_exception(error);
-}
-
-void parallel_for_workers_chunked(
-    std::size_t n, int threads, std::size_t chunk,
-    const std::function<void(int, std::size_t)>& fn) {
-  const int nthreads = effective_threads(n, threads);
-  if (nthreads == 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(0, i);
-    return;
-  }
-  if (chunk == 0) chunk = 1;
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> pool;
-  std::exception_ptr error;
-  std::mutex error_mutex;
-  for (int t = 0; t < nthreads; ++t) {
-    pool.emplace_back([&, t] {
-      try {
-        for (;;) {
-          const std::size_t lo =
-              next.fetch_add(chunk, std::memory_order_relaxed);
-          if (lo >= n) return;
-          const std::size_t hi = std::min(lo + chunk, n);
-          for (std::size_t i = lo; i < hi; ++i) fn(t, i);
-        }
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
-      }
-    });
-  }
-  for (auto& th : pool) th.join();
-  if (error) std::rethrow_exception(error);
+  const int size = executor_size();
+  const int cap = threads > 0 ? std::min(threads, size) : size;
+  return static_cast<int>(
+      std::max<std::size_t>(1, std::min(static_cast<std::size_t>(cap), n)));
 }
 
 void parallel_for(std::size_t n, int threads,
-                  const std::function<void(std::size_t)>& fn) {
-  parallel_for_workers(n, threads,
-                       [&fn](int, std::size_t i) { fn(i); });
-}
-
-ThreadPool::ThreadPool(int threads) {
-  int nthreads = threads > 0
-                     ? threads
-                     : static_cast<int>(std::thread::hardware_concurrency());
-  nthreads = std::max(1, nthreads);
-  workers_.reserve(static_cast<std::size_t>(nthreads - 1));
-  // The caller participates as worker 0, so a pool of size W spawns W - 1
-  // threads, carrying pool-worker ids 1 .. W-1.
-  for (int t = 1; t < nthreads; ++t) {
-    workers_.emplace_back([this, t] { worker_loop(t); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  wake_.notify_all();
-  for (auto& th : workers_) th.join();
-}
-
-void ThreadPool::worker_loop(int worker) {
-  std::uint64_t seen = 0;
-  while (true) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [&] { return stop_ || generation_ != seen; });
-      if (stop_) return;
-      seen = generation_;
-      job = job_;
-    }
-    if (worker < job.nworkers) {
-      const TimeNs t0 = monotonic_now();
-      try {
-        for (std::size_t i = static_cast<std::size_t>(worker); i < job.n;
-             i += static_cast<std::size_t>(job.nworkers)) {
-          (*job.fn)(worker, i);
-        }
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        if (!error_) error_ = std::current_exception();
-      }
-      note_slice(t0);
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        --remaining_;
-      }
-      done_.notify_one();
-    }
-  }
-}
-
-void ThreadPool::note_slice(TimeNs t0) {
-  slices_.fetch_add(1, std::memory_order_relaxed);
-  busy_ns_.fetch_add(static_cast<std::uint64_t>(monotonic_now() - t0),
-                     std::memory_order_relaxed);
-}
-
-ThreadPool::Stats ThreadPool::stats() const {
-  Stats s;
-  s.jobs = jobs_.load(std::memory_order_relaxed);
-  s.tasks = tasks_.load(std::memory_order_relaxed);
-  s.slices = slices_.load(std::memory_order_relaxed);
-  s.busy_ns = busy_ns_.load(std::memory_order_relaxed);
-  return s;
-}
-
-void ThreadPool::for_workers(std::size_t n, int max_workers,
-                             const std::function<void(int, std::size_t)>& fn) {
-  const int cap = max_workers > 0 ? std::min(max_workers, size()) : size();
-  const int nworkers = effective_threads(n, cap);
-  jobs_.fetch_add(1, std::memory_order_relaxed);
-  tasks_.fetch_add(n, std::memory_order_relaxed);
-  if (nworkers == 1) {
-    const TimeNs t0 = monotonic_now();
+                  const std::function<void(int, std::size_t)>& fn) {
+  const int slots = effective_threads(n, threads);
+  if (slots == 1) {
     for (std::size_t i = 0; i < n; ++i) fn(0, i);
-    note_slice(t0);
     return;
   }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    job_ = {n, nworkers, &fn};
-    remaining_ = nworkers - 1;  // pool workers 1 .. nworkers-1
-    error_ = nullptr;
-    ++generation_;
-  }
-  wake_.notify_all();
-  // The caller is worker 0; its exceptions line up with the workers' via
-  // the shared error slot so the first failure wins deterministically
-  // enough for reporting (the job always drains before rethrow).
-  const TimeNs t0 = monotonic_now();
-  try {
-    for (std::size_t i = 0; i < n;
-         i += static_cast<std::size_t>(nworkers)) {
-      fn(0, i);
-    }
-  } catch (...) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (!error_) error_ = std::current_exception();
-  }
-  note_slice(t0);
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_.wait(lock, [&] { return remaining_ == 0; });
-  if (error_) {
-    const std::exception_ptr e = error_;
-    error_ = nullptr;
-    lock.unlock();
-    std::rethrow_exception(e);
-  }
-}
-
-void ThreadPool::for_each(std::size_t n, int max_workers,
-                          const std::function<void(std::size_t)>& fn) {
-  for_workers(n, max_workers, [&fn](int, std::size_t i) { fn(i); });
+  Loop loop;
+  loop.n = n;
+  loop.slots = slots;
+  loop.fn = &fn;
+  Executor::instance().run(loop);
 }
 
 }  // namespace llamp

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -331,6 +332,31 @@ TEST(ApiCliEquivalence, Place) {
 // Engine session caching: a repeated request must re-lower nothing, and
 // the cache must be shared across request types.
 // ---------------------------------------------------------------------------
+
+/// Threads in this process right now.
+std::size_t task_count() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(ApiEngine, ConstructionStartsNoThread) {
+  // Parallel loops run on the process-wide executor, which starts with the
+  // first loop that fans out: an engine owns no threads.  Callers fork
+  // before their first parallel call, and short-lived engines (one per
+  // cold campaign) must not pay a thread start each.
+  const std::size_t before = task_count();
+  {
+    api::Engine engine;
+    api::Engine capped(api::Engine::Options{.threads = 4});
+    EXPECT_EQ(task_count(), before);
+  }
+  EXPECT_EQ(task_count(), before);
+}
 
 TEST(ApiEngineCache, RepeatedRequestHitsTheGraphCache) {
   api::Engine engine;

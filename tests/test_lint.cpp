@@ -128,6 +128,32 @@ TEST(LintRules, LogicalClocksAreNotWallClocks) {
             std::vector<std::string>{"det-clock"});
 }
 
+TEST(LintRules, ThreadConstructionOnlyInTheExecutor) {
+  const std::vector<std::string> thread_rule{"conc-thread"};
+  for (const char* src :
+       {"void f() { std::thread([] {}).detach(); }\n",
+        "std::thread t([] {});\n", "std::jthread t{[] {}};\n",
+        "std::vector<std::thread> pool;\n",
+        "h.worker = std::thread(run);\n"}) {
+    EXPECT_EQ(rules_of(lint_file("src/core/x.cpp", src)), thread_rule) << src;
+    // The executor is the one place threads are made.
+    EXPECT_TRUE(lint_file("src/util/parallel.cpp", src).empty()) << src;
+  }
+  // Declarations, references and nested names construct nothing.
+  EXPECT_TRUE(lint_file("src/serve/s.cpp",
+                        "std::thread io_thread_;\n"
+                        "void g(std::thread& t);\n"
+                        "auto id = std::this_thread::get_id();\n"
+                        "std::thread::id owner;\n"
+                        "int n = std::thread::hardware_concurrency();\n")
+                  .empty());
+  // A reasoned allow() admits a long-lived service thread.
+  EXPECT_TRUE(lint_file("src/serve/s.cpp",
+                        "// llamp-lint: allow(conc-thread): IO thread\n"
+                        "io_ = std::thread(loop);\n")
+                  .empty());
+}
+
 TEST(LintRules, PrintExemptions) {
   const std::string src = "void f() { std::cout << 1; }\n";
   EXPECT_EQ(rules_of(lint_file("src/core/x.cpp", src)),

@@ -1,10 +1,11 @@
 // Concurrency stress for the long-lived shared structures behind the
-// api::Engine: util/parallel::ThreadPool (persistent workers reused across
-// jobs), core::GraphCache (build-once graphs behind per-key locks), and
-// the obs registry/tracer (sharded metric cells, per-thread span lanes).
-// These suites are the primary target of the ThreadSanitizer CI job — they
-// are written to maximize contention, not coverage: many tiny jobs, many
-// threads racing one key, exceptions thrown mid-job.
+// api::Engine: util/parallel's process-wide executor (one loop, helpers
+// reused across loops, nested and concurrent callers), core::GraphCache
+// (build-once graphs behind per-key locks), and the obs registry/tracer
+// (sharded metric cells, per-thread span lanes).  These suites are the
+// primary target of the ThreadSanitizer CI job — they are written to
+// maximize contention, not coverage: many tiny loops, many threads racing
+// one key, exceptions thrown mid-loop.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/graph_cache.hpp"
@@ -27,18 +29,18 @@ namespace {
 constexpr std::uint64_t kS = 256 * 1024;  // the default rendezvous threshold
 
 // ---------------------------------------------------------------------------
-// ThreadPool under reuse pressure.
+// The executor under reuse pressure.  The suite keeps the ThreadPoolStress
+// name: the executor is the process's one thread pool.
 // ---------------------------------------------------------------------------
 
 TEST(ThreadPoolStress, ManyTinyJobsBackToBack) {
-  // Hundreds of small jobs on one pool: every submission re-publishes job_
-  // and re-arms the generation/remaining handshake, which is where a
-  // missed-wakeup or torn-read bug would live.
-  ThreadPool pool(8);
+  // Hundreds of small loops back to back: every call publishes a loop,
+  // wakes helpers and waits for the ones that joined, which is where a
+  // missed-wakeup or use-after-return bug would live.
   for (int round = 0; round < 400; ++round) {
     std::atomic<long long> sum{0};
     const std::size_t n = 1 + static_cast<std::size_t>(round % 37);
-    pool.for_workers(n, 0, [&](int, std::size_t i) {
+    parallel_for(n, 8, [&](int, std::size_t i) {
       sum.fetch_add(static_cast<long long>(i) + 1, std::memory_order_relaxed);
     });
     const long long nn = static_cast<long long>(n);
@@ -47,14 +49,13 @@ TEST(ThreadPoolStress, ManyTinyJobsBackToBack) {
 }
 
 TEST(ThreadPoolStress, ExceptionStormLeavesPoolServiceable) {
-  // Alternate failing and clean jobs; a failed job must drain fully (no
-  // worker left running into the next job's state) and rethrow exactly one
-  // exception on the caller.
-  ThreadPool pool(4);
+  // Alternate failing and clean loops; a failed loop must drain fully (no
+  // helper left running into the next loop's state) and rethrow exactly
+  // one exception on the caller.
   for (int round = 0; round < 100; ++round) {
     std::atomic<int> ran{0};
     try {
-      pool.for_workers(64, 0, [&](int, std::size_t i) {
+      parallel_for(64, 4, [&](int, std::size_t i) {
         ran.fetch_add(1, std::memory_order_relaxed);
         if (round % 2 == 0 && i % 19 == 3) throw Error("storm");
       });
@@ -65,42 +66,41 @@ TEST(ThreadPoolStress, ExceptionStormLeavesPoolServiceable) {
     }
   }
   std::atomic<int> count{0};
-  pool.for_workers(32, 0, [&](int, std::size_t) { count.fetch_add(1); });
+  parallel_for(32, 0, [&](int, std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 32);
 }
 
 TEST(ThreadPoolStress, WorkerScratchStaysPerWorker) {
-  // Per-worker accumulators indexed by the worker id: if two threads ever
-  // shared a worker index concurrently, TSan would flag the unsynchronized
-  // writes and the totals would drift.
-  ThreadPool pool(6);
+  // Per-slot accumulators indexed by the slot: if two threads ever served
+  // one slot concurrently, TSan would flag the unsynchronized writes and
+  // the totals would drift.
   for (int round = 0; round < 50; ++round) {
-    std::vector<long long> per_worker(static_cast<std::size_t>(pool.size()),
-                                      0);
-    pool.for_workers(257, 0, [&](int w, std::size_t i) {
-      per_worker[static_cast<std::size_t>(w)] +=
-          static_cast<long long>(i) + 1;
+    std::vector<long long> per_slot(
+        static_cast<std::size_t>(effective_threads(257, 6)), 0);
+    parallel_for(257, 6, [&](int w, std::size_t i) {
+      per_slot[static_cast<std::size_t>(w)] += static_cast<long long>(i) + 1;
     });
     long long total = 0;
-    for (const long long v : per_worker) total += v;
+    for (const long long v : per_slot) total += v;
     ASSERT_EQ(total, 257LL * 258 / 2);
   }
 }
 
 // ---------------------------------------------------------------------------
-// parallel_for_workers_chunked: the chunk-claiming scheduler behind the MC
-// general path.  Its determinism contract is the same as the strided
-// variant — fn(i) may depend only on i — and these suites pin it under
-// exactly the conditions that would expose a violation: a strongly
-// imbalanced per-index cost, several thread counts, and TSan (this file is
-// part of the ThreadSanitizer CI job).
+// Claim-order independence.  Participants claim indices one at a time, so
+// which thread runs which index changes from run to run; the determinism
+// contract — fn(i) may depend only on i — must make that invisible.  These
+// suites pin it under exactly the conditions that would expose a
+// violation: a strongly imbalanced per-index cost, several thread counts,
+// and TSan.  (ChunkedWorkersStress is the suite's historical name: the
+// loop claims "chunks" of one index.)
 // ---------------------------------------------------------------------------
 
 // A deliberately lopsided per-index computation: indices divisible by 16
-// cost ~200x the rest, so static striding would leave most workers idle
-// while chunk claiming keeps them busy.  The result for index i is a fixed
+// cost ~200x the rest, so a static split would leave most participants
+// idle while claiming keeps them busy.  The result for index i is a fixed
 // sequence of FP ops depending only on i — any scheduler that leaks state
-// across indices or workers changes the bytes.
+// across indices or slots changes the bytes.
 double imbalanced_value(std::size_t i) {
   const int iters = (i % 16 == 0) ? 4000 : 20;
   double x = static_cast<double>(i) + 1.0;
@@ -110,71 +110,132 @@ double imbalanced_value(std::size_t i) {
   return x;
 }
 
+std::vector<double> imbalanced_values(std::size_t n, int threads) {
+  std::vector<double> out(n, 0.0);
+  parallel_for(n, threads,
+               [&](int, std::size_t i) { out[i] = imbalanced_value(i); });
+  return out;
+}
+
 TEST(ChunkedWorkersStress, BitwiseIdenticalAcrossThreadCounts) {
   constexpr std::size_t kN = 1200;
-  std::vector<double> ref(kN, 0.0);
-  parallel_for_workers_chunked(kN, 1, 4, [&](int, std::size_t i) {
-    ref[i] = imbalanced_value(i);
-  });
+  const std::vector<double> ref = imbalanced_values(kN, 1);
   for (const int threads : {2, 8}) {
-    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
-                                    std::size_t{64}, kN + 1}) {
-      std::vector<double> got(kN, 0.0);
-      parallel_for_workers_chunked(kN, threads, chunk,
-                                   [&](int, std::size_t i) {
-                                     got[i] = imbalanced_value(i);
-                                   });
-      ASSERT_EQ(got, ref) << "threads=" << threads << " chunk=" << chunk;
+    for (int rep = 0; rep < 4; ++rep) {
+      ASSERT_EQ(imbalanced_values(kN, threads), ref)
+          << "threads=" << threads << " rep=" << rep;
     }
   }
 }
 
 TEST(ChunkedWorkersStress, CoversEveryIndexExactlyOnce) {
-  // Tiny chunks maximize claim contention on the shared atomic counter;
-  // a double-grant or a skipped tail would show up as a count != 1.
+  // One-index claims maximize contention on the shared atomic counter; a
+  // double-grant or a skipped tail would show up as a count != 1.
   std::vector<std::atomic<int>> seen(1013);
-  parallel_for_workers_chunked(seen.size(), 8, 1, [&](int w, std::size_t i) {
+  const int slots = effective_threads(seen.size(), 8);
+  parallel_for(seen.size(), 8, [&](int w, std::size_t i) {
     EXPECT_GE(w, 0);
-    EXPECT_LT(w, 8);
-    seen[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (const auto& s : seen) ASSERT_EQ(s.load(), 1);
-}
-
-TEST(ChunkedWorkersStress, ZeroChunkMeansOne) {
-  std::vector<std::atomic<int>> seen(64);
-  parallel_for_workers_chunked(seen.size(), 4, 0, [&](int, std::size_t i) {
+    EXPECT_LT(w, slots);
     seen[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (const auto& s : seen) ASSERT_EQ(s.load(), 1);
 }
 
 TEST(ChunkedWorkersStress, PerWorkerScratchStaysPerWorker) {
-  // Same invariant the strided variant and ThreadPool guarantee: the worker
-  // id is unique per concurrent thread, so unsynchronized per-worker
-  // accumulators are safe (TSan verifies the claim).
-  constexpr int kWorkers = 6;
-  std::vector<long long> per_worker(kWorkers, 0);
-  parallel_for_workers_chunked(999, kWorkers, 5, [&](int w, std::size_t i) {
-    per_worker[static_cast<std::size_t>(w)] += static_cast<long long>(i) + 1;
+  // The slot is unique per concurrent thread within a loop, so
+  // unsynchronized per-slot accumulators are safe (TSan verifies the
+  // claim).
+  std::vector<long long> per_slot(
+      static_cast<std::size_t>(effective_threads(999, 6)), 0);
+  parallel_for(999, 6, [&](int w, std::size_t i) {
+    per_slot[static_cast<std::size_t>(w)] += static_cast<long long>(i) + 1;
   });
   long long total = 0;
-  for (const long long v : per_worker) total += v;
+  for (const long long v : per_slot) total += v;
   EXPECT_EQ(total, 999LL * 1000 / 2);
 }
 
 TEST(ChunkedWorkersStress, PropagatesExactlyOneException) {
   for (int round = 0; round < 20; ++round) {
-    std::atomic<int> ran{0};
     try {
-      parallel_for_workers_chunked(256, 8, 3, [&](int, std::size_t i) {
-        ran.fetch_add(1, std::memory_order_relaxed);
+      parallel_for(256, 8, [&](int, std::size_t i) {
         if (i % 41 == 7) throw Error("chunk storm");
       });
       FAIL() << "must throw";
     } catch (const Error& e) {
       EXPECT_STREQ(e.what(), "chunk storm");
     }
+  }
+  // ...and the executor still runs a full loop afterwards.
+  std::vector<double> after = imbalanced_values(300, 8);
+  EXPECT_EQ(after, imbalanced_values(300, 1));
+}
+
+// ---------------------------------------------------------------------------
+// Nested and concurrent callers: the executor is bounded and shared, so a
+// loop body may run a loop (a batch request running a sweep) and several
+// external threads may run loops at once.  Callers always drain their own
+// loop, so neither case can deadlock, and the bytes never depend on it.
+// ---------------------------------------------------------------------------
+
+/// Row i: an inner loop over imbalanced values, folded in index order.
+std::vector<double> nested_rows(std::size_t rows, std::size_t cols,
+                                int threads) {
+  std::vector<double> out(rows, 0.0);
+  parallel_for(rows, threads, [&](int, std::size_t r) {
+    std::vector<double> inner(cols, 0.0);
+    parallel_for(cols, threads, [&](int, std::size_t c) {
+      inner[c] = imbalanced_value(r * cols + c);
+    });
+    double acc = 0.0;
+    for (const double v : inner) acc = acc * 0.5 + v;
+    out[r] = acc;
+  });
+  return out;
+}
+
+TEST(ExecutorStress, NestedLoopsAreBitwiseEqualAndDoNotHang) {
+  const std::vector<double> ref = nested_rows(24, 40, 1);
+  for (const int threads : {2, 8}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      ASSERT_EQ(nested_rows(24, 40, threads), ref)
+          << "threads=" << threads << " rep=" << rep;
+    }
+  }
+  // Three levels deep, every level asking for more slots than exist.
+  std::atomic<int> leaves{0};
+  parallel_for(4, 8, [&](int, std::size_t) {
+    parallel_for(4, 8, [&](int, std::size_t) {
+      parallel_for(4, 8, [&](int, std::size_t) { leaves.fetch_add(1); });
+    });
+  });
+  EXPECT_EQ(leaves.load(), 64);
+}
+
+TEST(ExecutorStress, ConcurrentExternalCallersEachGetTheirOwnLoop) {
+  constexpr std::size_t kN = 700;
+  const std::vector<double> ref = imbalanced_values(kN, 1);
+  constexpr int kCallers = 2;
+  std::vector<std::vector<double>> got(kCallers);
+  std::vector<int> failed_rounds(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < 20; ++round) {
+        // A flat and a nested loop per round, so the two callers' loops
+        // interleave on the shared helpers in every combination.
+        got[static_cast<std::size_t>(c)] = imbalanced_values(kN, 8);
+        if (got[static_cast<std::size_t>(c)] != ref) {
+          ++failed_rounds[static_cast<std::size_t>(c)];
+        }
+        (void)nested_rows(6, 10, 8);
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(failed_rounds[static_cast<std::size_t>(c)], 0) << "caller " << c;
+    EXPECT_EQ(got[static_cast<std::size_t>(c)], ref) << "caller " << c;
   }
 }
 
@@ -190,11 +251,10 @@ TEST(ObsRegistryStress, ConcurrentIncrementsMergeExactly) {
     obs::Registry reg(obs::Registry::Options{.shards = shards});
     obs::Counter hot = reg.counter("hot");
     obs::Histogram lat = reg.histogram("lat");
-    ThreadPool pool(8);
     constexpr std::size_t kTasks = 64;
     constexpr int kPerTask = 500;
     for (int round = 0; round < 4; ++round) {
-      pool.for_workers(kTasks, 0, [&](int, std::size_t i) {
+      parallel_for(kTasks, 8, [&](int, std::size_t i) {
         for (int k = 0; k < kPerTask; ++k) {
           hot.inc();
           lat.record(static_cast<double>(i % 7) + 1.0);
@@ -219,8 +279,7 @@ TEST(ObsRegistryStress, RegistrationRacesRecording) {
   // the registry mutex, recording never does.
   obs::Registry reg;
   obs::Counter hot = reg.counter("hot");
-  ThreadPool pool(6);
-  pool.for_workers(600, 0, [&](int, std::size_t i) {
+  parallel_for(600, 6, [&](int, std::size_t i) {
     if (i % 50 == 0) {
       obs::Counter fresh =
           reg.counter("late." + std::to_string(i / 50));
@@ -245,9 +304,8 @@ TEST(ObsRegistryStress, RegistrationRacesRecording) {
 TEST(ObsTraceStress, ConcurrentSpansLandInPerThreadLanes) {
   obs::Tracer tracer;
   tracer.enable();
-  ThreadPool pool(6);
   constexpr std::size_t kTasks = 300;
-  pool.for_workers(kTasks, 0, [&](int, std::size_t) {
+  parallel_for(kTasks, 6, [&](int, std::size_t) {
     const obs::SpanScope outer(tracer, "outer");
     const obs::SpanScope inner(tracer, "inner");
   });
@@ -269,7 +327,7 @@ TEST(GraphCacheStress, ConcurrentSameKeyBuildsExactlyOnce) {
   core::GraphCache cache;
   constexpr std::size_t kCallers = 16;
   std::vector<const graph::Graph*> got(kCallers, nullptr);
-  parallel_for(kCallers, static_cast<int>(kCallers), [&](std::size_t i) {
+  parallel_for(kCallers, static_cast<int>(kCallers), [&](int, std::size_t i) {
     got[i] = &cache.get(small_key(0.02));
   });
   for (const graph::Graph* g : got) EXPECT_EQ(g, got[0]);
@@ -287,7 +345,7 @@ TEST(GraphCacheStress, DistinctKeysBuildInParallelThenHit) {
   // key's lock, in parallel, and none of them is a hit.
   std::vector<const graph::Graph*> built(keys.size(), nullptr);
   parallel_for(keys.size(), 8,
-               [&](std::size_t i) { built[i] = &cache.get(keys[i]); });
+               [&](int, std::size_t i) { built[i] = &cache.get(keys[i]); });
   EXPECT_EQ(cache.stats().built, keys.size());
   EXPECT_EQ(cache.stats().hits, 0u) << "a first touch must not count a hit";
   EXPECT_EQ(std::set<const graph::Graph*>(built.begin(), built.end()).size(),
@@ -296,7 +354,7 @@ TEST(GraphCacheStress, DistinctKeysBuildInParallelThenHit) {
   // Every later get, from any thread, is a pure lookup.
   constexpr std::size_t kLookups = 64;
   std::vector<const graph::Graph*> got(kLookups, nullptr);
-  parallel_for(kLookups, 8, [&](std::size_t i) {
+  parallel_for(kLookups, 8, [&](int, std::size_t i) {
     got[i] = &cache.get(keys[i % keys.size()]);
   });
   EXPECT_EQ(cache.stats().built, keys.size());
@@ -309,15 +367,14 @@ TEST(GraphCacheStress, DistinctKeysBuildInParallelThenHit) {
 TEST(GraphCacheStress, HammerMixedColdAndWarmKeys) {
   // Threads race gets across a small key set while some keys are still
   // cold, exercising slot creation (map mutex), first-touch builds (slot
-  // mutex), and hit counting all at once.  ThreadPool drives it so the
-  // pool and the cache are stressed together, engine-style.
+  // mutex), and hit counting all at once.  The executor drives it so the
+  // helpers and the cache are stressed together, engine-style.
   core::GraphCache cache;
   const std::vector<core::GraphKey> keys = {small_key(0.02), small_key(0.025),
                                             small_key(0.03)};
-  ThreadPool pool(8);
   std::vector<const graph::Graph*> by_key(keys.size(), nullptr);
   for (int round = 0; round < 6; ++round) {
-    pool.for_workers(48, 0, [&](int, std::size_t i) {
+    parallel_for(48, 8, [&](int, std::size_t i) {
       const std::size_t k = i % keys.size();
       const graph::Graph& g = cache.get(keys[k]);
       ASSERT_GT(g.num_vertices(), 0u);

@@ -2,7 +2,7 @@
 // parser, the poll-loop server, and the engine route table.  The headline
 // contract is wire determinism — identical request body bytes produce
 // identical response body bytes whatever the connection interleaving,
-// keep-alive reuse, engine pool size, or prior cache state — plus the
+// keep-alive reuse, engine options, or prior cache state — plus the
 // robustness contract that malformed input maps to precise 4xx statuses
 // and never kills the daemon.
 
@@ -395,7 +395,7 @@ TEST(ServeDaemon, WireDeterminismAcrossInterleavingAndThreads) {
     analyze_bodies.push_back(c2.post("/v1/analyze", kAnalyzeBody).body);
   }
   {
-    // Different engine pool size; concurrent clients racing dispatch.
+    // Different engine options; concurrent clients racing dispatch.
     TestDaemon daemon(/*threads=*/4);
     std::vector<std::thread> workers;
     std::vector<std::string> analyze_out(3);

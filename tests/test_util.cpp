@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <filesystem>
 #include <numeric>
 #include <vector>
 
@@ -19,60 +23,96 @@ namespace llamp {
 namespace {
 
 // ---------------------------------------------------------------------------
-// ThreadPool: the persistent-worker twin of parallel_for_workers, used by
-// the api::Engine batch path.
+// util/parallel: the one loop on the process-wide executor.  The suite keeps
+// the ThreadPool name: the executor is the process's one thread pool.
 // ---------------------------------------------------------------------------
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4);
   std::vector<std::atomic<int>> seen(101);
-  pool.for_workers(seen.size(), 0, [&](int worker, std::size_t i) {
-    EXPECT_GE(worker, 0);
-    EXPECT_LT(worker, 4);
+  const int slots = effective_threads(seen.size(), 4);
+  parallel_for(seen.size(), 4, [&](int slot, std::size_t i) {
+    EXPECT_GE(slot, 0);
+    EXPECT_LT(slot, slots);
     seen[i].fetch_add(1);
   });
   for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
 }
 
-TEST(ThreadPool, StridingMatchesParallelForWorkers) {
-  // Same worker → index assignment as the free function, the property the
-  // engine's determinism contract is stated against.
-  ThreadPool pool(3);
-  std::vector<int> pool_worker(20, -1), free_worker(20, -1);
-  pool.for_workers(pool_worker.size(), 3,
-                   [&](int w, std::size_t i) { pool_worker[i] = w; });
-  parallel_for_workers(free_worker.size(), 3,
-                       [&](int w, std::size_t i) { free_worker[i] = w; });
-  EXPECT_EQ(pool_worker, free_worker);
-}
-
 TEST(ThreadPool, ReusableAcrossJobsAndCapsWorkers) {
-  ThreadPool pool(8);
   for (int round = 0; round < 50; ++round) {
     std::atomic<long long> sum{0};
     const int cap = 1 + round % 8;
-    pool.for_workers(round + 1, cap, [&](int worker, std::size_t i) {
-      EXPECT_LT(worker, cap);
+    const std::size_t n = static_cast<std::size_t>(round) + 1;
+    EXPECT_LE(effective_threads(n, cap), cap);
+    parallel_for(n, cap, [&](int slot, std::size_t i) {
+      EXPECT_LT(slot, cap);
       sum.fetch_add(static_cast<long long>(i));
     });
-    const long long n = round;  // indices 0..round
-    EXPECT_EQ(sum.load(), n * (n + 1) / 2);
+    const long long last = round;  // indices 0..round
+    EXPECT_EQ(sum.load(), last * (last + 1) / 2);
   }
 }
 
 TEST(ThreadPool, PropagatesExceptionsAndSurvivesThem) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.for_workers(32, 0,
-                       [&](int, std::size_t i) {
-                         if (i == 17) throw Error("boom");
-                       }),
-      Error);
-  // The pool must stay serviceable after a failed job.
+  EXPECT_THROW(parallel_for(32, 4,
+                            [&](int, std::size_t i) {
+                              if (i == 17) throw Error("boom");
+                            }),
+               Error);
+  // The executor must stay serviceable after a failed loop.
   std::atomic<int> count{0};
-  pool.for_workers(8, 0, [&](int, std::size_t) { count.fetch_add(1); });
+  parallel_for(8, 4, [&](int, std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 8);
+}
+
+/// Threads in this process right now.
+std::size_t task_count() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(ThreadPool, OutsideThreadCountsCannotMultiplyThreads) {
+  // A request's "threads" field comes from JSON or HTTP.  However large it
+  // is, the loop runs on the executor's helpers plus the caller: the
+  // threads alive inside the body never exceed what this process had
+  // before plus the helpers (when this is the first loop that fans out).
+  constexpr std::size_t kN = 512;
+  const std::size_t before = task_count();
+  const std::size_t helpers =
+      static_cast<std::size_t>(effective_threads(SIZE_MAX, 0) - 1);
+  const auto value = [](std::size_t i) {
+    double x = static_cast<double>(i) + 1.0;
+    for (int k = 0; k < 50; ++k) x = x * 1.0000001 + 1.0 / x;
+    return x;
+  };
+  std::atomic<std::size_t> most{0};
+  std::vector<double> got(kN, 0.0);
+  parallel_for(kN, 1 << 20, [&](int, std::size_t i) {
+    const std::size_t now = task_count();
+    std::size_t seen = most.load();
+    while (now > seen && !most.compare_exchange_weak(seen, now)) {
+    }
+    got[i] = value(i);
+  });
+  EXPECT_LE(most.load(), before + helpers);
+  std::vector<double> ref(kN, 0.0);
+  parallel_for(kN, 1, [&](int, std::size_t i) { ref[i] = value(i); });
+  EXPECT_EQ(std::memcmp(got.data(), ref.data(), kN * sizeof(double)), 0);
+}
+
+TEST(ThreadPool, EffectiveThreadsIsBoundedByTheExecutor) {
+  const int size = effective_threads(SIZE_MAX, 0);
+  EXPECT_GE(size, 1);
+  EXPECT_EQ(effective_threads(SIZE_MAX, 1 << 20), size);
+  EXPECT_EQ(effective_threads(3, 0), std::min(size, 3));
+  EXPECT_EQ(effective_threads(0, 8), 1);
+  EXPECT_EQ(effective_threads(100, 1), 1);
+  EXPECT_EQ(effective_threads(100, -5), size);
 }
 
 // ---------------------------------------------------------------------------
