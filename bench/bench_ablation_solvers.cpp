@@ -39,7 +39,7 @@ graph::Graph make_graph(int scale_permille) {
 void BM_ParametricSolve(benchmark::State& state) {
   const auto g = make_graph(static_cast<int>(state.range(0)));
   const auto space = std::make_shared<lp::LatencyParamSpace>(kParams);
-  lp::ParametricSolver solver(g, space);
+  lp::LoweredProblem solver(g, space);
   for (auto _ : state) {
     benchmark::DoNotOptimize(solver.solve(0, kParams.L).value);
   }
@@ -82,7 +82,7 @@ BENCHMARK(BM_GraphLpBuild)->Arg(400)->Arg(1600);
 void BM_ToleranceSearch(benchmark::State& state) {
   const auto g = make_graph(static_cast<int>(state.range(0)));
   const auto space = std::make_shared<lp::LatencyParamSpace>(kParams);
-  lp::ParametricSolver solver(g, space);
+  lp::LoweredProblem solver(g, space);
   const double budget = solver.solve(0, kParams.L).value * 1.05;
   for (auto _ : state) {
     benchmark::DoNotOptimize(solver.max_param_for_budget(0, budget));

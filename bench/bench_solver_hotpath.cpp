@@ -25,7 +25,7 @@
 // "before" is a faithful copy of the PR-2-era solver hot path (per-edge
 // heap-allocated Affine term vectors, four scratch vectors allocated per
 // solve, one dense forward pass per sweep point), kept here so the baseline
-// stays measurable forever.  "after" is the production ParametricSolver:
+// stays measurable forever.  "after" is the production LoweredProblem:
 // flat SoA edge costs, caller-owned workspace, segment-walk sweeps.
 //
 //   bench/run_bench.sh [--quick]    # builds, runs, writes BENCH_solver.json
@@ -134,7 +134,7 @@ struct Fixture {
   graph::Graph graph;
   loggops::Params params;
   std::shared_ptr<const lp::LatencyParamSpace> space;
-  lp::ParametricSolver solver;
+  lp::LoweredProblem solver;
   LegacySolver legacy;
   std::vector<double> xs;  // absolute L values of the ΔL sweep grid
 
@@ -165,7 +165,7 @@ BENCHMARK(BM_LegacySolve);
 
 void BM_WorkspaceSolve(benchmark::State& state) {
   auto& f = fixture();
-  lp::ParametricSolver::Workspace ws;
+  lp::LoweredProblem::Cursor ws;
   (void)f.solver.solve(0, f.params.L, ws);
   for (auto _ : state) {
     benchmark::DoNotOptimize(f.solver.solve(0, f.params.L, ws).value);
@@ -185,8 +185,8 @@ BENCHMARK(BM_LegacyDenseSweep200);
 
 void BM_SegmentWalkSweep200(benchmark::State& state) {
   auto& f = fixture();
-  lp::ParametricSolver::Workspace ws;
-  std::vector<lp::ParametricSolver::SweepEval> out(f.xs.size());
+  lp::LoweredProblem::Cursor ws;
+  std::vector<lp::LoweredProblem::SweepEval> out(f.xs.size());
   for (auto _ : state) {
     f.solver.sweep(0, f.xs, ws, out.data());
     benchmark::DoNotOptimize(out.data());
@@ -235,9 +235,9 @@ int write_trajectory(const CaptureReporter& rep, const std::string& path) {
   const double after_sweep = rep.ns("BM_SegmentWalkSweep200");
   // Work the walk actually performs: full passes at basis anchors (near-tie
   // micro-pieces included) and critical-path replays for interior points.
-  lp::ParametricSolver::Workspace ws;
-  std::vector<lp::ParametricSolver::SweepEval> evals(f.xs.size());
-  lp::ParametricSolver::SweepStats stats;
+  lp::LoweredProblem::Cursor ws;
+  std::vector<lp::LoweredProblem::SweepEval> evals(f.xs.size());
+  lp::LoweredProblem::SweepStats stats;
   f.solver.sweep(0, f.xs, ws, evals.data(), &stats);
   // Distinct λ pieces of T on the range (the merged, paper-level view).
   const std::size_t segments =

@@ -686,7 +686,7 @@ TopoResult Engine::topo_impl(int worker, const TopoRequest& req) {
     auto space = std::make_shared<lp::LinkClassParamSpace>(
         topo::make_wire_latency_space(app.params, *t, placement, req.l_wire,
                                       req.d_switch));
-    const lp::ParametricSolver solver(g, space);
+    const lp::LoweredProblem solver(g, space);
     const auto& sol = solver.solve(0, req.l_wire, ws);
     const double runtime = sol.value;
     const double gradient = sol.gradient[0];
@@ -701,7 +701,7 @@ TopoResult Engine::topo_impl(int worker, const TopoRequest& req) {
       topo::make_dragonfly_class_space(app.params, dragonfly, placement,
                                        req.l_wire, req.l_wire, req.l_wire,
                                        req.d_switch));
-  const lp::ParametricSolver df_solver(g, df_space);
+  const lp::LoweredProblem df_solver(g, df_space);
   const auto& base_sol = df_solver.solve(0, req.l_wire, ws);
   const double T0 = base_sol.value;
   const double base_lambda = base_sol.gradient[0];

@@ -133,7 +133,7 @@ std::string to_json_line(const Response& res);
 ///    campaign engine's — repeated requests for one scenario re-lower
 ///    nothing, across request types (an analyze warms the graph a later
 ///    sweep or campaign of the same app reuses);
-///  * one ParametricSolver::Workspace per batch slot, reused by the
+///  * one LoweredProblem::Cursor per batch slot, reused by the
 ///    engine's direct solver paths so steady-state solves stay
 ///    allocation-free.
 ///
@@ -286,8 +286,8 @@ class Engine {
   obs::Registry metrics_;
   obs::Tracer tracer_;
   MetricHandles handles_;
-  /// One workspace per batch slot; its size is the batch fan-out cap.
-  std::vector<lp::ParametricSolver::Workspace> workspaces_;
+  /// One cursor per batch slot; its size is the batch fan-out cap.
+  std::vector<lp::LoweredProblem::Cursor> workspaces_;
   /// Serializes run_batch callers: the per-slot workspaces must not be
   /// shared across batches.
   std::mutex batch_mutex_;

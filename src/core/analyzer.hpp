@@ -19,15 +19,16 @@ namespace llamp::core {
 /// says otherwise.
 class LatencyAnalyzer {
  public:
+  /// Cold form: the warm form below over a SolverCache the analyzer owns,
+  /// empty at construction.
   LatencyAnalyzer(const graph::Graph& g, loggops::Params p);
   /// Warm-starting form (the api::Engine path): the latency lowering is
   /// fetched from `cache` under (key, p) instead of being rebuilt, and the
   /// point evaluations (base runtime, forecasts, sweeps) are served through
   /// the entry's anchor store, so repeated and nearby requests replay
   /// instead of re-solving.  `g` MUST be the graph cached under `key`, and
-  /// `cache` must outlive the analyzer.  Every number produced is bitwise
-  /// identical to the cold constructor's — the cache can never change
-  /// bytes, only time.
+  /// `cache` must outlive the analyzer.  The cold form is this one over an
+  /// empty cache, and the cache can never change bytes, only time.
   LatencyAnalyzer(const graph::Graph& g, loggops::Params p,
                   SolverCache& cache, const GraphKey& key);
   /// The analyzer keeps a reference; a temporary graph would dangle.
@@ -67,8 +68,8 @@ class LatencyAnalyzer {
   std::vector<TimeNs> critical_latencies(TimeNs lo, TimeNs hi) const;
 
   /// Exact piecewise-linear runtime curve over absolute L in [lo, hi].
-  std::vector<lp::ParametricSolver::Segment> runtime_curve(TimeNs lo,
-                                                           TimeNs hi) const;
+  std::vector<lp::LoweredProblem::Segment> runtime_curve(TimeNs lo,
+                                                         TimeNs hi) const;
 
   /// Bandwidth sensitivity λ_G = ∂T/∂G at the base configuration (§II-B1).
   double lambda_G() const;
@@ -89,25 +90,33 @@ class LatencyAnalyzer {
 
   /// Evaluate runtime/λ_L/ρ_L at many injections in parallel (the LP solves
   /// are independent, mirroring how the paper parallelizes its sweeps via
-  /// the barrier method).  `threads` <= 0 uses the hardware concurrency.
+  /// the barrier method): one contiguous chunk per executor slot, each
+  /// walked through the cache entry's sweep.  `threads` caps the slots;
+  /// <= 0 means as many as the executor has (util/parallel.hpp).
   std::vector<SweepPoint> sweep(const std::vector<TimeNs>& delta_Ls,
                                 int threads = 0) const;
 
   /// Access to the underlying solver for advanced (multi-parameter) use.
-  const lp::ParametricSolver& solver() const { return solver_; }
+  const lp::LoweredProblem& solver() const { return *entry_->problem(); }
+  /// The cache serving the point evaluations: the session's for the warm
+  /// form, the analyzer's own for the cold form (observability/tests).
+  const SolverCache& cache() const { return *cache_; }
 
  private:
+  LatencyAnalyzer(const graph::Graph& g, loggops::Params p,
+                  std::unique_ptr<SolverCache> own);
+  /// T and λ_L at base latency + delta_L, through the cache entry.
+  lp::LoweredProblem::SweepEval eval(TimeNs delta_L) const;
+
   const graph::Graph& g_;
   loggops::Params params_;
-  /// Engaged by the warm constructor: the session cache serving this
-  /// analyzer's point evaluations, and the entry holding the shared
-  /// lowering + anchors.  Declared before space_/solver_ — the warm
-  /// constructor initializes those from warm_.
-  SolverCache* cache_ = nullptr;
+  /// The cold form's private cache (null for the warm form).  Heap-held so
+  /// cache_ and the entry's back-reference survive a move.
+  std::unique_ptr<SolverCache> own_;
+  SolverCache* cache_;
   GraphKey key_;
-  std::shared_ptr<SolverCache::Entry> warm_;
-  std::shared_ptr<const lp::ParamSpace> space_;
-  lp::ParametricSolver solver_;
+  /// The shared latency lowering and its anchors.
+  std::shared_ptr<SolverCache::Entry> entry_;
   TimeNs base_runtime_ = 0.0;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <optional>
 #include <set>
 #include <utility>
 
@@ -201,7 +200,7 @@ Campaign::ScenarioResult eval_scenario(const Scenario& s,
                                        const McAxis& mc,
                                        const Campaign::Probe& probe,
                                        SolverCache& solvers,
-                                       lp::ParametricSolver::Workspace& ws) {
+                                       lp::LoweredProblem::Cursor& ws) {
   Campaign::ScenarioResult res;
   res.scenario = s;
   res.graph_vertices = g.num_vertices();
@@ -209,25 +208,24 @@ Campaign::ScenarioResult eval_scenario(const Scenario& s,
 
   // Flat-latency scenarios resolve their lowering through the solver
   // cache (shared across campaigns / request types of one session) and
-  // serve each grid point through Entry::eval — a replay when a cached
-  // anchor covers the point, a recorded dense solve otherwise, bitwise
-  // identical either way.  Topology scenarios keep per-scenario
-  // wire-latency lowerings (not cacheable by LogGPS fingerprint).
+  // serve the grid through Entry::sweep — replays where an anchor covers a
+  // point, recorded dense solves otherwise, bitwise identical either way.
+  // Topology scenarios keep per-scenario wire-latency lowerings (not
+  // cacheable by LogGPS fingerprint) and walk them directly.
   std::shared_ptr<SolverCache::Entry> entry;
+  std::shared_ptr<const lp::LoweredProblem> solver;
   double base = 0.0;
-  std::optional<lp::ParametricSolver> local;
   if (s.topology == "none") {
     entry = solvers.latency(graph_key(s), g, s.params);
-    local.emplace(entry->problem());
+    solver = entry->problem();
     base = s.params.L;
   } else {
     const ScenarioSpace ss = make_space(s, topo);
-    local.emplace(g, ss.space);
+    solver = std::make_shared<const lp::LoweredProblem>(g, ss.space);
     base = ss.base;
   }
-  const lp::ParametricSolver& solver = *local;
   res.base_runtime =
-      entry ? entry->eval(0, base, ws).value : solver.solve(0, base, ws).value;
+      entry ? entry->eval(0, base, ws).value : solver->solve(0, base, ws).value;
 
   const std::size_t npts = s.delta_Ls.size();
   std::vector<double> xs(npts);
@@ -236,44 +234,38 @@ Campaign::ScenarioResult eval_scenario(const Scenario& s,
     xs[i] = base + s.delta_Ls[i];
     if (i > 0 && s.delta_Ls[i - 1] > s.delta_Ls[i]) ascending = false;
   }
-  res.points.resize(npts);
-  const auto fill = [&](std::size_t i, double value, double lambda) {
-    Campaign::Point& pt = res.points[i];
-    pt.delta_L = s.delta_Ls[i];
-    pt.runtime = value;
-    pt.lambda = lambda;
-    pt.rho = value > 0.0 ? xs[i] * lambda / value : 0.0;
-  };
+  std::vector<lp::LoweredProblem::SweepEval> evals(npts);
   if (entry) {
-    // Per-point through the cache: repeated campaigns (and repeated grid
-    // points across scenarios sharing a graph + config) replay instead of
+    // Through the cache: repeated campaigns (and repeated grid points
+    // across scenarios sharing a graph + config) replay instead of
     // re-solving.  Grid order is irrelevant here.
-    for (std::size_t i = 0; i < npts; ++i) {
-      const auto ev = entry->eval(0, xs[i], ws);
-      fill(i, ev.value, ev.slope);
-    }
+    entry->sweep(0, xs, ws, evals.data());
   } else if (ascending) {
     // Every CLI grid is ascending: one segment walk answers the whole grid
     // in O(#linear pieces) forward passes, bitwise identical to per-point
     // solves.
-    std::vector<lp::ParametricSolver::SweepEval> evals(npts);
-    solver.sweep(0, xs, ws, evals.data());
-    for (std::size_t i = 0; i < npts; ++i) {
-      fill(i, evals[i].value, evals[i].slope);
-    }
+    solver->sweep(0, xs, ws, evals.data());
   } else {
     // Explicit scenario lists may order their grids arbitrarily; fall back
     // to dense per-point solves through the same workspace.
     for (std::size_t i = 0; i < npts; ++i) {
-      const auto& sol = solver.solve(0, xs[i], ws);
-      fill(i, sol.value, sol.gradient[0]);
+      const auto& sol = solver->solve(0, xs[i], ws);
+      evals[i] = {xs[i], sol.value, sol.gradient[0]};
     }
+  }
+  res.points.resize(npts);
+  for (std::size_t i = 0; i < npts; ++i) {
+    Campaign::Point& pt = res.points[i];
+    pt.delta_L = s.delta_Ls[i];
+    pt.runtime = evals[i].value;
+    pt.lambda = evals[i].slope;
+    pt.rho = pt.runtime > 0.0 ? xs[i] * pt.lambda / pt.runtime : 0.0;
   }
 
   res.bands.reserve(s.band_percents.size());
   for (const double pct : s.band_percents) {
     const double budget = res.base_runtime * (1.0 + pct / 100.0);
-    const double tol = solver.max_param_for_budget(0, budget, ws);
+    const double tol = solver->max_param_for_budget(0, budget, ws);
     res.bands.push_back({pct, std::isfinite(tol) ? tol - base : tol});
   }
 
@@ -465,7 +457,7 @@ std::vector<Campaign::ScenarioResult> Campaign::run(const Probe& probe,
   const std::vector<std::size_t> order =
       cost_order(scenarios_, distinct_graphs);
   std::vector<ScenarioResult> results(scenarios_.size());
-  std::vector<lp::ParametricSolver::Workspace> wss(static_cast<std::size_t>(
+  std::vector<lp::LoweredProblem::Cursor> wss(static_cast<std::size_t>(
       effective_threads(scenarios_.size(), threads_)));
   parallel_for(order.size(), threads_, [&](int w, std::size_t j) {
     const std::size_t i = order[j];

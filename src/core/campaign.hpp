@@ -19,9 +19,10 @@ namespace llamp::core {
 /// every figure sweeps applications × rank counts × latency injections ×
 /// topologies (Figs. 1, 9–12, 20) — and this subsystem is the single engine
 /// behind them.  A declarative grid spec expands into scenarios; each
-/// scenario builds (or reuses) one execution graph and one ParametricSolver
-/// and walks its ΔL grid; scenarios run on the process-wide executor;
-/// results come back in grid order regardless of thread count.
+/// scenario builds (or reuses) one execution graph and one lowered LP
+/// (lp::LoweredProblem) and walks its ΔL grid; scenarios run on the
+/// process-wide executor; results come back in grid order regardless of
+/// thread count.
 
 /// One fully-resolved analysis scenario: a proxy application at a scale,
 /// under a LogGPS configuration, optionally mapped onto a physical topology,

@@ -40,7 +40,7 @@ double solve_hloggp(const graph::Graph& g, const loggops::Params& p,
   const bool want_gap = dg_matrix != nullptr;
   const auto space = std::make_shared<lp::PairwiseLatencyParamSpace>(
       p, n, mats.latency, mats.gap, want_gap);
-  lp::ParametricSolver solver(g, space);
+  lp::LoweredProblem solver(g, space);
   const auto sol = solver.solve(0, space->base_value(0));
   const auto unpack = [&](std::vector<double>* out, bool gap) {
     if (!out) return;

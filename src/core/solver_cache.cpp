@@ -36,38 +36,50 @@ std::shared_ptr<const lp::ParamSpace> make_latency_bandwidth_space(
 
 }  // namespace
 
-lp::LoweredProblem::SweepEval SolverCache::Entry::eval(
-    int k, double x, lp::LoweredProblem::Cursor& cur) {
-  // Warm path: any published anchor whose stability zone covers x replays
-  // bitwise identically to a dense solve (see the class contract), so the
-  // first covering anchor found is as good as any other — overlapping
-  // zones cannot make the served bytes depend on scan order.
-  if (prob_->flat()) {
-    std::shared_ptr<const lp::LoweredProblem::AnchorState> hit;
-    {
-      const std::lock_guard<std::mutex> lock(anchor_mutex_);
-      for (const auto& a : anchors_) {
-        if (a->covers(k, x)) {
-          hit = a;
-          break;
+void SolverCache::Entry::sweep(int k, std::span<const double> xs,
+                               lp::LoweredProblem::Cursor& cur,
+                               lp::LoweredProblem::SweepEval* out) {
+  using Anchor = lp::LoweredProblem::AnchorState;
+  const lp::LoweredProblem& prob = *prob_;
+  std::size_t solves = 0;
+  std::size_t replays = 0;
+  // The anchor of this call's last dense solve: an ascending grid walks a
+  // basis piece from it exactly as LoweredProblem::sweep does, whether or
+  // not the anchor store had room to publish it.
+  std::shared_ptr<const Anchor> last;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double x = xs[i];
+    if (prob.flat()) {
+      // Replay from any covering anchor is bitwise identical to a dense
+      // solve (see the class contract), so which one serves x — and, among
+      // overlapping published zones, scan order — cannot change the bytes.
+      std::shared_ptr<const Anchor> hit =
+          last && last->covers(k, x) ? last : nullptr;
+      if (!hit) {
+        const std::lock_guard<std::mutex> lock(anchor_mutex_);
+        for (const auto& a : anchors_) {
+          if (a->covers(k, x)) {
+            hit = a;
+            break;
+          }
         }
       }
+      if (hit) {
+        ++replays;
+        out[i] = prob.replay_anchor(*hit, k, x);
+        continue;
+      }
     }
-    if (hit) {
-      owner_->replays_.fetch_add(1, std::memory_order_relaxed);
-      return prob_->replay_anchor(*hit, k, x);
-    }
-  }
 
-  // Cold path: dense solve, then publish the anchor so later queries in
-  // this basis piece (from any thread) replay instead.
-  const auto& sol = prob_->solve(k, x, cur);
-  const lp::LoweredProblem::SweepEval out{
-      x, sol.value, sol.gradient[static_cast<std::size_t>(k)]};
-  owner_->anchor_solves_.fetch_add(1, std::memory_order_relaxed);
-  if (prob_->flat()) {
-    auto fresh = std::make_shared<lp::LoweredProblem::AnchorState>();
-    prob_->save_anchor(cur, *fresh);
+    // Dense solve, then publish the anchor so later queries in this basis
+    // piece (from any thread) replay instead.
+    const auto& sol = prob.solve(k, x, cur);
+    out[i] = {x, sol.value, sol.gradient[static_cast<std::size_t>(k)]};
+    ++solves;
+    if (!prob.flat()) continue;
+    auto fresh = std::make_shared<Anchor>();
+    prob.save_anchor(cur, *fresh);
+    last = fresh;
     const std::lock_guard<std::mutex> lock(anchor_mutex_);
     if (anchors_.size() < kMaxAnchors) {
       const auto pos = std::lower_bound(
@@ -85,15 +97,15 @@ lp::LoweredProblem::SweepEval SolverCache::Entry::eval(
         // capacities depend on the allocator's growth history, sizes only
         // on the published anchor set (deterministic per request sequence).
         owner_->anchor_bytes_.fetch_add(
-            sizeof(lp::LoweredProblem::AnchorState) +
-                fresh->chain.size() * sizeof(std::uint32_t) +
+            sizeof(Anchor) + fresh->chain.size() * sizeof(std::uint32_t) +
                 fresh->solution.gradient.size() * sizeof(double),
             std::memory_order_relaxed);
         anchors_.insert(pos, std::move(fresh));
       }
     }
   }
-  return out;
+  owner_->anchor_solves_.fetch_add(solves, std::memory_order_relaxed);
+  owner_->replays_.fetch_add(replays, std::memory_order_relaxed);
 }
 
 std::size_t SolverCache::Entry::anchor_count() const {

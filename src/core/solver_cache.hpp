@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,7 +48,7 @@ struct SolverKey {
 ///
 /// Determinism contract: replay from *any* covering anchor is bitwise
 /// identical to a dense solve at that point (the PR 3 segment-walk
-/// equivalence, pinned by the hot-path test wall), so an eval()'s bytes
+/// equivalence, pinned by the hot-path test wall), so a sweep()'s bytes
 /// can never depend on the cache being cold, warm, shared across threads,
 /// or on which of several overlapping anchors serves the query.  Response
 /// bytes must never include the cache's counters.
@@ -78,14 +79,26 @@ class SolverCache {
       return prob_;
     }
 
-    /// T and λ at `x` for parameter `k`: served by anchor replay when a
-    /// published stability zone covers `x` (no forward pass, read-only on
-    /// the problem), otherwise by a dense solve through `cur` whose anchor
-    /// is then published for later queries.  Bitwise identical to
-    /// problem()->solve(k, x) either way.  Safe to call concurrently from
-    /// any number of threads, each with its own cursor.
+    /// T and λ for parameter `k` at every value of `xs`, in any order,
+    /// writing xs.size() entries to `out`.  Each point is served by the
+    /// first of: a replay from the anchor of this call's own last dense
+    /// solve (the segment walk's locality, which survives a full anchor
+    /// store), a replay from a published anchor whose stability zone covers
+    /// it, or a dense solve through `cur` whose anchor is then published
+    /// for later queries.  Every point is bitwise identical to
+    /// problem()->solve(k, x) whichever serves it.  Safe to call
+    /// concurrently from any number of threads, each with its own cursor.
+    void sweep(int k, std::span<const double> xs,
+               lp::LoweredProblem::Cursor& cur,
+               lp::LoweredProblem::SweepEval* out);
+
+    /// The one-point sweep.
     lp::LoweredProblem::SweepEval eval(int k, double x,
-                                       lp::LoweredProblem::Cursor& cur);
+                                       lp::LoweredProblem::Cursor& cur) {
+      lp::LoweredProblem::SweepEval out;
+      sweep(k, std::span(&x, 1), cur, &out);
+      return out;
+    }
 
     /// Published anchors (observability/tests).
     std::size_t anchor_count() const;
@@ -94,12 +107,14 @@ class SolverCache {
     friend class SolverCache;
     Entry() = default;
 
-    /// Bound on published anchors per entry: enough to blanket every CLI
-    /// grid's basis pieces, small enough that the linear covering scan
-    /// stays trivially cheap.  Once full, new anchors are dropped (never
-    /// evicted — eviction order could vary across runs, and although
-    /// replay-vs-dense bytes are identical by contract, a fixed set keeps
-    /// the served path itself reproducible).
+    /// Bound on published anchors per entry, small enough that the linear
+    /// covering scan stays trivially cheap.  It does not blanket every
+    /// grid: a 200-point hpcg-64 sweep crosses 85 basis pieces at scale
+    /// 0.05 and 119 at scale 1, most of them narrow and at low ΔL.  Points
+    /// past the cap are still served by sweep()'s own last anchor.  Once
+    /// full, new anchors are dropped (never evicted — eviction order could
+    /// vary across runs, and although replay-vs-dense bytes are identical
+    /// by contract, a fixed set keeps the served path itself reproducible).
     static constexpr std::size_t kMaxAnchors = 64;
 
     std::mutex build_mutex_;
@@ -119,7 +134,7 @@ class SolverCache {
                                  const loggops::Params& p);
 
   /// Same for the two-parameter LatencyBandwidthParamSpace (λ_G reads).
-  /// Its edges carry two terms, so it lowers to the CSR fallback — eval()
+  /// Its edges carry two terms, so it lowers to the CSR fallback — sweep()
   /// always dense-solves — but the lowering itself is still shared.
   std::shared_ptr<Entry> latency_bandwidth(const GraphKey& key,
                                            const graph::Graph& g,
@@ -128,8 +143,8 @@ class SolverCache {
   struct Stats {
     std::size_t built = 0;          ///< lowerings constructed (misses)
     std::size_t hits = 0;           ///< lookups served an existing lowering
-    std::size_t anchor_solves = 0;  ///< eval() dense forward passes
-    std::size_t replays = 0;        ///< eval() served by anchor replay
+    std::size_t anchor_solves = 0;  ///< sweep() dense forward passes
+    std::size_t replays = 0;        ///< sweep() points served by replay
     std::size_t anchor_bytes = 0;   ///< payload bytes of published anchors
   };
   /// Cumulative statistics, GraphCache-style relaxed atomics: monotonic

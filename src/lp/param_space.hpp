@@ -18,7 +18,7 @@ struct ParamTerm {
 /// An affine function constant + Σ coeff_k · x_k over the decision
 /// parameters of a ParamSpace.
 ///
-/// Lowering contract (see DESIGN.md §4b): ParametricSolver flattens these
+/// Lowering contract (see DESIGN.md §4b): lp::LoweredProblem flattens these
 /// expressions at construction and replicates the term list's *order* in
 /// its floating-point summations, so `terms` order is part of a space's
 /// observable behavior — emit terms deterministically.  Coefficients are
@@ -137,7 +137,7 @@ class PairwiseLatencyParamSpace final : public ParamSpace {
 /// wraps another space and scales every edge's whole affine cost — constant
 /// and parametric terms alike — by a per-edge factor.  Because a
 /// multiplicative factor keeps an affine expression affine, the full
-/// ParametricSolver feature set (solve, sweep, piecewise, tolerance search)
+/// LoweredProblem feature set (solve, sweep, piecewise, tolerance search)
 /// works on a perturbed space unchanged; one solver constructed over a
 /// PerturbedParamSpace *is* one perturbed LP evaluation.
 ///

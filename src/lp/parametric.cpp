@@ -658,9 +658,4 @@ double LoweredProblem::max_param_for_budget(int k, double budget) const {
   return max_param_for_budget(k, budget, cur);
 }
 
-ParametricSolver::ParametricSolver(std::shared_ptr<const LoweredProblem> prob)
-    : prob_(std::move(prob)) {
-  if (!prob_) throw LpError("parametric: null lowered problem");
-}
-
 }  // namespace llamp::lp

@@ -47,7 +47,7 @@ struct Solution {
 /// inverse.  Intended for models up to a few thousand constraints — the
 /// running example, topology studies, unit tests, and cross-validation of
 /// the parametric solver.  Large execution-graph LPs (millions of rows) are
-/// solved by the exact ParametricSolver instead; DESIGN.md §1 documents this
+/// solved by the exact lp::LoweredProblem instead; DESIGN.md §1 documents this
 /// division of labor relative to the paper's use of Gurobi.
 class SimplexSolver {
  public:

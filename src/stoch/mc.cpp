@@ -27,13 +27,13 @@ constexpr std::size_t kBlock = 1024;
 /// Per-worker scratch reused across every sample (or sample group) a
 /// worker serves.
 struct WorkerScratch {
-  lp::ParametricSolver::Workspace ws;
+  lp::LoweredProblem::Cursor ws;
   std::vector<double> xs;
-  std::vector<lp::ParametricSolver::SweepEval> evals;
+  std::vector<lp::LoweredProblem::SweepEval> evals;
   std::vector<double> factors;
   // Batched fast path: one kBatchWidth-wide lane group of samples.
-  lp::ParametricSolver::BatchCursor bc;
-  std::vector<lp::ParametricSolver::BatchPoint> pts;
+  lp::LoweredProblem::BatchCursor bc;
+  std::vector<lp::LoweredProblem::BatchPoint> pts;
   std::vector<double> lane_L;       ///< the group's sampled L draws
   std::vector<double> lane_xs;      ///< lane evaluation points, one ΔL at a time
   std::vector<double> lane_from;    ///< per-lane band-search anchor (ΔL[0])
@@ -125,7 +125,7 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
   const bool shared_solver_path = shared_point.has_value();
 
   loggops::Params shared_params = base;
-  std::optional<lp::ParametricSolver> shared;
+  std::shared_ptr<const lp::LoweredProblem> shared;
   if (shared_solver_path) {
     shared_params = *shared_point;
     shared_params.validate();
@@ -144,9 +144,9 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
     };
     if (cached_space != nullptr && &lowered->graph() == &g &&
         same_point(cached_space->params())) {
-      shared.emplace(std::move(lowered));
+      shared = std::move(lowered);
     } else {
-      shared.emplace(
+      shared = std::make_shared<const lp::LoweredProblem>(
           g, std::make_shared<lp::LatencyParamSpace>(shared_params));
     }
   }
@@ -287,10 +287,10 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
       p.o = spec.o.sample(rng, base.o);
       p.G = spec.G.sample(rng, base.G);
 
-      std::optional<lp::ParametricSolver> local;
-      const lp::ParametricSolver* solver;
+      std::optional<lp::LoweredProblem> local;
+      const lp::LoweredProblem* solver;
       if (shared_solver_path) {
-        solver = &*shared;
+        solver = shared.get();
       } else {
         std::shared_ptr<const lp::ParamSpace> sp =
             std::make_shared<lp::LatencyParamSpace>(p);

@@ -46,8 +46,8 @@ TEST(AllocationFree, SteadyStateSolvesAllocateNothing) {
   const auto g =
       schedgen::build_graph(apps::make_app_trace("lulesh", 8, 0.02));
   const auto p = loggops::NetworkConfig::cscs_testbed();
-  ParametricSolver solver(g, std::make_shared<LatencyParamSpace>(p));
-  ParametricSolver::Workspace ws;
+  LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem::Cursor ws;
 
   // Warm-up: grows every buffer to its structural maximum.
   (void)solver.solve(0, p.L, ws);
@@ -65,12 +65,12 @@ TEST(AllocationFree, SegmentWalkSweepAllocatesNothing) {
   const auto g =
       schedgen::build_graph(apps::make_app_trace("hpcg", 8, 0.02));
   const auto p = loggops::NetworkConfig::cscs_testbed();
-  ParametricSolver solver(g, std::make_shared<LatencyParamSpace>(p));
-  ParametricSolver::Workspace ws;
+  LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem::Cursor ws;
 
   std::vector<double> xs;
   for (int i = 0; i < 200; ++i) xs.push_back(p.L + 500.0 * i);
-  std::vector<ParametricSolver::SweepEval> out(xs.size());
+  std::vector<LoweredProblem::SweepEval> out(xs.size());
 
   solver.sweep(0, xs, ws, out.data());  // warm-up
 
@@ -88,14 +88,14 @@ TEST(AllocationFree, BatchSolvesAllocateNothingAfterWarmup) {
   const auto g =
       schedgen::build_graph(apps::make_app_trace("lulesh", 8, 0.02));
   const auto p = loggops::NetworkConfig::cscs_testbed();
-  ParametricSolver solver(g, std::make_shared<LatencyParamSpace>(p));
-  ParametricSolver::BatchCursor bc;
+  LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem::BatchCursor bc;
 
   std::vector<double> xs(kBatchWidth + 3);
   for (std::size_t l = 0; l < xs.size(); ++l) {
     xs[l] = p.L + 250.0 * static_cast<double>(l);
   }
-  std::vector<ParametricSolver::BatchPoint> pts(xs.size());
+  std::vector<LoweredProblem::BatchPoint> pts(xs.size());
   std::vector<double> from(xs.size(), p.L);
   std::vector<double> budgets(xs.size());
   std::vector<double> tols(xs.size());
@@ -132,11 +132,11 @@ TEST(AllocationFree, WorkspaceReuseAcrossSolversOnlyGrows) {
       schedgen::build_graph(apps::make_app_trace("lulesh", 8, 0.03));
   const auto small = llamp::testing::running_example_graph();
   const auto p = loggops::NetworkConfig::cscs_testbed();
-  ParametricSolver sb(big, std::make_shared<LatencyParamSpace>(p));
-  ParametricSolver ss(
+  LoweredProblem sb(big, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem ss(
       small,
       std::make_shared<LatencyParamSpace>(llamp::testing::running_example_params()));
-  ParametricSolver::Workspace ws;
+  LoweredProblem::Cursor ws;
   (void)sb.solve(0, p.L, ws);
 
   const std::size_t before = g_allocations;

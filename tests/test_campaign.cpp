@@ -189,7 +189,7 @@ TEST(CampaignRun, TopologyScenarioMatchesDirectWireSpaceSolve) {
       topo::make_wire_latency_space(res.scenario.params, df,
                                     topo::identity_placement(res.scenario.ranks),
                                     spec.topo.l_wire, spec.topo.d_switch));
-  const lp::ParametricSolver solver(g, space);
+  const lp::LoweredProblem solver(g, space);
   for (std::size_t i = 0; i < res.points.size(); ++i) {
     const auto sol =
         solver.solve(0, spec.topo.l_wire + res.scenario.delta_Ls[i]);

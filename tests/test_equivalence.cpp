@@ -41,7 +41,7 @@ TEST_P(EquivalenceTest, SimEqualsParametricAcrossLatencies) {
 
   sim::Simulator simulator(g);
   const auto space = std::make_shared<lp::LatencyParamSpace>(p);
-  lp::ParametricSolver solver(g, space);
+  lp::LoweredProblem solver(g, space);
 
   for (const double L : {0.0, 500.0, 3'000.0, 20'000.0, 250'000.0}) {
     p.L = L;
@@ -62,7 +62,7 @@ TEST_P(EquivalenceTest, GraphAnalysisLambdaMatchesLpGradient) {
 
   sim::Simulator simulator(g);
   const auto space = std::make_shared<lp::LatencyParamSpace>(p);
-  lp::ParametricSolver solver(g, space);
+  lp::LoweredProblem solver(g, space);
 
   const auto res = simulator.run(p);
   const auto path = simulator.critical_path(res);
@@ -90,7 +90,7 @@ TEST_P(EquivalenceTest, SimplexAgreesOnSmallPrograms) {
   ASSERT_EQ(s.status, lp::SolveStatus::kOptimal);
 
   const auto shared_space = std::make_shared<lp::LatencyParamSpace>(p);
-  lp::ParametricSolver solver(g, shared_space);
+  lp::LoweredProblem solver(g, shared_space);
   const auto sol = solver.solve(0, p.L);
   EXPECT_NEAR(s.objective, sol.value, 1e-6 * (1.0 + sol.value));
   EXPECT_NEAR(s.reduced_cost[static_cast<std::size_t>(glp.param_vars[0])],
@@ -107,7 +107,7 @@ TEST_P(EquivalenceTest, ToleranceInverseProperty) {
   const loggops::Params p = test_params();
 
   const auto space = std::make_shared<lp::LatencyParamSpace>(p);
-  lp::ParametricSolver solver(g, space);
+  lp::LoweredProblem solver(g, space);
   const double T0 = solver.solve(0, p.L).value;
   for (const double pct : {1.0, 2.0, 5.0, 25.0}) {
     const double budget = T0 * (1.0 + pct / 100.0);
@@ -129,7 +129,7 @@ TEST_P(EquivalenceTest, RuntimeConvexNondecreasingInLatency) {
   const auto t = testing::random_trace(cfg);
   const auto g = schedgen::build_graph(t);
   const auto space = std::make_shared<lp::LatencyParamSpace>(test_params());
-  lp::ParametricSolver solver(g, space);
+  lp::LoweredProblem solver(g, space);
 
   double prev_value = -1.0;
   double prev_slope = -1.0;
@@ -150,7 +150,7 @@ TEST_P(EquivalenceTest, FeasibilityRangeIsSound) {
   const auto t = testing::random_trace(cfg);
   const auto g = schedgen::build_graph(t);
   const auto space = std::make_shared<lp::LatencyParamSpace>(test_params());
-  lp::ParametricSolver solver(g, space);
+  lp::LoweredProblem solver(g, space);
 
   const double L = 10'000.0;
   const auto sol = solver.solve(0, L);
@@ -181,7 +181,7 @@ TEST_P(EquivalenceTest, RendezvousThresholdSweepStaysConsistent) {
     p.S = S;
     sim::Simulator simulator(g);
     const auto space = std::make_shared<lp::LatencyParamSpace>(p);
-    lp::ParametricSolver solver(g, space);
+    lp::LoweredProblem solver(g, space);
     EXPECT_NEAR(simulator.run(p).makespan, solver.solve(0, p.L).value,
                 1e-6 * (1.0 + simulator.run(p).makespan))
         << "S=" << S;
@@ -203,7 +203,7 @@ TEST_P(EquivalenceTest, BandwidthSpaceAgreesAcrossSolvers) {
   ASSERT_EQ(s.status, lp::SolveStatus::kOptimal);
 
   const auto shared = std::make_shared<lp::LatencyBandwidthParamSpace>(p);
-  lp::ParametricSolver solver(g, shared);
+  lp::LoweredProblem solver(g, shared);
   const auto sol = solver.solve(1, p.G);  // G active, L at base
   EXPECT_NEAR(s.objective, sol.value, 1e-6 * (1.0 + sol.value));
   // λ_G from the simplex reduced cost vs the critical-path byte count.
@@ -215,7 +215,7 @@ TEST_P(EquivalenceTest, BandwidthSpaceAgreesAcrossSolvers) {
 // agree not just under the default test configuration but at *every* LogGPS
 // grid point a campaign can reach.  Draw a random configuration from the
 // campaign-style ranges (L, o, G, rendezvous threshold S), then walk a ΔL
-// grid and require SimplexSolver and ParametricSolver to agree on value,
+// grid and require SimplexSolver and LoweredProblem to agree on value,
 // λ_L, and ranging at each point.
 TEST_P(EquivalenceTest, RandomLogGpsGridPointsAgreeAcrossSolvers) {
   testing::RandomProgramConfig cfg;
@@ -241,7 +241,7 @@ TEST_P(EquivalenceTest, RandomLogGpsGridPointsAgreeAcrossSolvers) {
   const auto g = schedgen::build_graph(t, opt);
 
   const auto shared = std::make_shared<lp::LatencyParamSpace>(p);
-  lp::ParametricSolver solver(g, shared);
+  lp::LoweredProblem solver(g, shared);
 
   for (const double dL : {0.0, 2'000.0, 25'000.0}) {
     loggops::Params pt = p;

@@ -110,7 +110,7 @@ TEST(FullPipeline, RandomProgramsSurviveEveryStage) {
     const auto text = trace::to_text(t);
     const auto g = schedgen::build_graph(trace::from_text(text));
     const auto space = std::make_shared<lp::LatencyParamSpace>(testbed());
-    lp::ParametricSolver solver(g, space);
+    lp::LoweredProblem solver(g, space);
     const auto sol = solver.solve(0, testbed().L);
     EXPECT_GT(sol.value, 0.0);
     EXPECT_GE(sol.gradient[0], 0.0);

@@ -18,7 +18,7 @@ std::shared_ptr<LatencyParamSpace> running_space() {
 
 TEST(RunningExample, ExactPaperNumbers) {
   const auto g = llamp::testing::running_example_graph();
-  ParametricSolver solver(g, running_space());
+  LoweredProblem solver(g, running_space());
 
   // T(0.5 us) = 1.615 us with λ_L = 1 and feasibility lower bound 0.385 us
   // (Fig. 5 and Fig. 16 of the paper).
@@ -45,7 +45,7 @@ TEST(RunningExample, ExactPaperNumbers) {
 
 TEST(RunningExample, PiecewiseSegments) {
   const auto g = llamp::testing::running_example_graph();
-  ParametricSolver solver(g, running_space());
+  LoweredProblem solver(g, running_space());
   const auto segs = solver.piecewise(0, 0.0, 1'000.0);
   ASSERT_EQ(segs.size(), 2u);
   EXPECT_DOUBLE_EQ(segs[0].slope, 0.0);
@@ -56,7 +56,7 @@ TEST(RunningExample, PiecewiseSegments) {
 
 TEST(Algorithm2, MatchesExactCriticalValuesOnRunningExample) {
   const auto g = llamp::testing::running_example_graph();
-  ParametricSolver solver(g, running_space());
+  LoweredProblem solver(g, running_space());
   const auto exact = solver.critical_values(0, 0.0, 1'000.0);
   const auto alg2 = solver.critical_values_algorithm2(0, 0.0, 1'000.0);
   ASSERT_EQ(alg2.size(), exact.size());
@@ -69,7 +69,7 @@ TEST(Algorithm2, PaperAppendixDExample) {
   // Appendix D runs Algorithm 2 on the running example over [0.2, 0.5] us
   // with the initial bound at 0.5: two iterations find L_c = 0.385 us.
   const auto g = llamp::testing::running_example_graph();
-  ParametricSolver solver(g, running_space());
+  LoweredProblem solver(g, running_space());
   const auto lc = solver.critical_values_algorithm2(0, 200.0, 500.0);
   ASSERT_EQ(lc.size(), 1u);
   EXPECT_NEAR(lc[0], 385.0, 1e-3);
@@ -78,7 +78,7 @@ TEST(Algorithm2, PaperAppendixDExample) {
 TEST(Algorithm2, StepKnobSkipsFineStructure) {
   // With a step larger than the interval, at most the first basis is seen.
   const auto g = llamp::testing::running_example_graph();
-  ParametricSolver solver(g, running_space());
+  LoweredProblem solver(g, running_space());
   const auto coarse =
       solver.critical_values_algorithm2(0, 0.0, 1'000.0, /*step=*/2'000.0);
   EXPECT_LE(coarse.size(), 1u);
@@ -90,7 +90,7 @@ TEST(Algorithm2, StepKnobSkipsFineStructure) {
 
 TEST(Tolerance, ThrowsWhenBudgetBelowBase) {
   const auto g = llamp::testing::running_example_graph();
-  ParametricSolver solver(g, running_space());
+  LoweredProblem solver(g, running_space());
   EXPECT_THROW((void)solver.max_param_for_budget(0, 1'000.0), LpError);
 }
 
@@ -101,13 +101,13 @@ TEST(Tolerance, InfiniteWhenLatencyNeverCritical) {
   const auto b = g.add_calc(0, 50.0);
   g.add_local_edge(a, b);
   g.finalize();
-  ParametricSolver solver(g, running_space());
+  LoweredProblem solver(g, running_space());
   EXPECT_TRUE(std::isinf(solver.max_param_for_budget(0, 1'000.0)));
 }
 
 TEST(Tolerance, ExactAtZeroPercentBudget) {
   const auto g = llamp::testing::running_example_graph();
-  ParametricSolver solver(g, running_space());
+  LoweredProblem solver(g, running_space());
   const double T0 = solver.solve(0, 0.0).value;
   // Budget exactly the base runtime: tolerance is the critical latency.
   EXPECT_NEAR(solver.max_param_for_budget(0, T0), 385.0, 1e-3);
@@ -117,7 +117,7 @@ TEST(Convexity, SlopeMonotoneInParameter) {
   const auto trace = llamp::testing::random_trace({});
   // (validated in depth by test_equivalence; a light check here)
   const auto g = llamp::testing::running_example_graph();
-  ParametricSolver solver(g, running_space());
+  LoweredProblem solver(g, running_space());
   double prev_slope = -1.0;
   for (double L = 0; L <= 2'000.0; L += 100.0) {
     const double s = solver.solve(0, L).gradient[0];
@@ -129,7 +129,7 @@ TEST(Convexity, SlopeMonotoneInParameter) {
 
 TEST(FeasibilityRange, SolutionStableInsideRange) {
   const auto g = llamp::testing::running_example_graph();
-  ParametricSolver solver(g, running_space());
+  LoweredProblem solver(g, running_space());
   const auto sol = solver.solve(0, 500.0);
   // Anywhere inside [lo, hi], slope and the linear value formula hold.
   const double mid = 0.5 * (sol.lo + std::min(sol.hi, 1'000.0));
@@ -142,7 +142,7 @@ TEST(BandwidthSpace, GradientCountsBytes) {
   const auto g = llamp::testing::running_example_graph();
   const auto space = std::make_shared<LatencyBandwidthParamSpace>(
       llamp::testing::running_example_params());
-  ParametricSolver solver(g, space);
+  LoweredProblem solver(g, space);
   // At L = 1 us the comm path dominates; λ_G = s - 1 = 3.
   auto p = llamp::testing::running_example_params();
   (void)p;
@@ -193,7 +193,7 @@ TEST(PairwiseSpace, GradientIdentifiesTheCriticalPair) {
   const auto g = llamp::testing::running_example_graph();
   auto p = llamp::testing::running_example_params();
   const auto space = std::make_shared<PairwiseLatencyParamSpace>(p, 2);
-  ParametricSolver solver(g, space);
+  LoweredProblem solver(g, space);
   const auto sol = solver.solve(space->pair_index(0, 1), 1'000.0);
   EXPECT_DOUBLE_EQ(sol.gradient[static_cast<std::size_t>(space->pair_index(0, 1))], 1.0);
 }
@@ -229,14 +229,14 @@ TEST(LinkClassSpace, Validation) {
 
 TEST(Errors, InvalidArguments) {
   const auto g = llamp::testing::running_example_graph();
-  ParametricSolver solver(g, running_space());
+  LoweredProblem solver(g, running_space());
   EXPECT_THROW((void)solver.solve(5, 0.0), LpError);
   EXPECT_THROW((void)solver.piecewise(0, 10.0, 0.0), LpError);
   EXPECT_THROW((void)solver.max_param_for_budget(9, 1.0), LpError);
-  EXPECT_THROW(ParametricSolver(g, nullptr), LpError);
+  EXPECT_THROW(LoweredProblem(g, nullptr), LpError);
   graph::Graph unfinalized(1);
   (void)unfinalized.add_calc(0, 1.0);
-  EXPECT_THROW(ParametricSolver(unfinalized, running_space()), LpError);
+  EXPECT_THROW(LoweredProblem(unfinalized, running_space()), LpError);
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "apps/registry.hpp"
+#include "core/analyzer.hpp"
+#include "core/campaign.hpp"
 #include "core/solver_cache.hpp"
 #include "lp/param_space.hpp"
 #include "lp/parametric.hpp"
@@ -13,6 +16,7 @@
 #include "test_support.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/time.hpp"
 
 // Equivalence wall for the zero-allocation hot path: the segment-walk
 // sweep, the workspace-reusing solve, and the flat/CSR edge-cost lowering
@@ -23,12 +27,10 @@
 namespace llamp::lp {
 namespace {
 
-using Solver = ParametricSolver;
-
 /// An ascending, irregular grid over [lo, hi] that deliberately includes
 /// every piece boundary of T (the walk's worst case: anchors, replays, and
 /// exact-breakpoint hits all occur).
-std::vector<double> stress_grid(const Solver& solver, int k, double lo,
+std::vector<double> stress_grid(const LoweredProblem& solver, int k, double lo,
                                 double hi, int points, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<double> xs;
@@ -44,10 +46,10 @@ std::vector<double> stress_grid(const Solver& solver, int k, double lo,
 
 /// The core property: walk results equal dense per-point solves, bit for
 /// bit, in both the value and the active slope.
-void expect_walk_matches_dense(const Solver& solver, int k,
+void expect_walk_matches_dense(const LoweredProblem& solver, int k,
                                const std::vector<double>& xs) {
-  Solver::Workspace ws;
-  std::vector<Solver::SweepEval> walk(xs.size());
+  LoweredProblem::Cursor ws;
+  std::vector<LoweredProblem::SweepEval> walk(xs.size());
   solver.sweep(k, xs, ws, walk.data());
   for (std::size_t i = 0; i < xs.size(); ++i) {
     const auto dense = solver.solve(k, xs[i]);
@@ -64,7 +66,7 @@ TEST(SegmentWalk, BitwiseMatchesDenseOnAllRegisteredApps) {
         schedgen::build_graph(apps::make_app_trace(app, ranks, 0.02));
     const auto p = loggops::NetworkConfig::cscs_testbed();
     const auto space = std::make_shared<LatencyParamSpace>(p);
-    Solver solver(g, space);
+    LoweredProblem solver(g, space);
     const auto xs = stress_grid(solver, 0, 0.0, p.L + 100'000.0, 120,
                                 0x5eedu + g.num_vertices());
     SCOPED_TRACE(app);
@@ -91,7 +93,7 @@ TEST_P(RandomConfigTest, WalkBitwiseMatchesDenseOnRandomPrograms) {
   cfg.steps = 140;
   const auto g = schedgen::build_graph(testing::random_trace(cfg));
   const loggops::Params p = random_params(GetParam() * 977 + 5);
-  Solver solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
   const auto xs =
       stress_grid(solver, 0, 0.0, p.L + 200'000.0, 100, GetParam());
   expect_walk_matches_dense(solver, 0, xs);
@@ -108,13 +110,13 @@ TEST_P(RandomConfigTest, CsrFallbackWalkMatchesDense) {
   const auto g = schedgen::build_graph(testing::random_trace(cfg));
   const loggops::Params p = random_params(GetParam() * 31 + 9);
 
-  Solver bw(g, std::make_shared<LatencyBandwidthParamSpace>(p));
+  LoweredProblem bw(g, std::make_shared<LatencyBandwidthParamSpace>(p));
   expect_walk_matches_dense(bw, 1,
                             stress_grid(bw, 1, 0.0, p.G + 2.0, 60, 3));
 
   const auto pair_space =
       std::make_shared<PairwiseLatencyParamSpace>(p, cfg.nranks);
-  Solver pw(g, pair_space);
+  LoweredProblem pw(g, pair_space);
   const int k = pair_space->pair_index(0, cfg.nranks - 1);
   expect_walk_matches_dense(pw, k,
                             stress_grid(pw, k, 0.0, p.L + 80'000.0, 60, 4));
@@ -127,8 +129,8 @@ TEST_P(RandomConfigTest, WorkspaceVariantsAreBitwiseIdentical) {
   cfg.steps = 110;
   const auto g = schedgen::build_graph(testing::random_trace(cfg));
   const loggops::Params p = random_params(GetParam() * 131 + 3);
-  Solver solver(g, std::make_shared<LatencyParamSpace>(p));
-  Solver::Workspace ws;
+  LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem::Cursor ws;
 
   const double lo = 0.0;
   const double hi = p.L + 120'000.0;
@@ -180,11 +182,11 @@ TEST(Workspace, InterleavedSolversNeverLeakState) {
   const auto p1 = testing::running_example_params();
   const loggops::Params p2 = random_params(123);
 
-  Solver a(g1, std::make_shared<LatencyParamSpace>(p1));
-  Solver b(g2, std::make_shared<LatencyParamSpace>(p2));
-  Solver c(g2, std::make_shared<LatencyBandwidthParamSpace>(p2));
+  LoweredProblem a(g1, std::make_shared<LatencyParamSpace>(p1));
+  LoweredProblem b(g2, std::make_shared<LatencyParamSpace>(p2));
+  LoweredProblem c(g2, std::make_shared<LatencyBandwidthParamSpace>(p2));
 
-  Solver::Workspace ws;
+  LoweredProblem::Cursor ws;
   for (int round = 0; round < 3; ++round) {
     for (const double x : {0.0, 385.0, 500.0, 1'000.0, 25'000.0}) {
       const auto& sa = a.solve(0, x, ws);
@@ -208,7 +210,7 @@ TEST(Workspace, InterleavedSolversNeverLeakState) {
     // A walk on one solver between solves of the others must not perturb
     // anything either.
     const std::vector<double> xs = {0.0, 200.0, 400.0, 600.0, 5'000.0};
-    std::vector<Solver::SweepEval> evals(xs.size());
+    std::vector<LoweredProblem::SweepEval> evals(xs.size());
     a.sweep(0, xs, ws, evals.data());
     for (std::size_t i = 0; i < xs.size(); ++i) {
       EXPECT_EQ(evals[i].value, a.solve(0, xs[i]).value);
@@ -218,18 +220,18 @@ TEST(Workspace, InterleavedSolversNeverLeakState) {
 
 TEST(SweepApi, RejectsDescendingValues) {
   const auto g = testing::running_example_graph();
-  Solver solver(
+  LoweredProblem solver(
       g, std::make_shared<LatencyParamSpace>(testing::running_example_params()));
-  Solver::Workspace ws;
+  LoweredProblem::Cursor ws;
   const std::vector<double> bad = {100.0, 50.0};
-  std::vector<Solver::SweepEval> out(bad.size());
+  std::vector<LoweredProblem::SweepEval> out(bad.size());
   EXPECT_THROW(solver.sweep(0, bad, ws, out.data()), LpError);
   EXPECT_THROW((void)solver.sweep(7, bad), LpError);
 }
 
 TEST(SweepApi, DuplicatesAndEmptyGridsAreFine) {
   const auto g = testing::running_example_graph();
-  Solver solver(
+  LoweredProblem solver(
       g, std::make_shared<LatencyParamSpace>(testing::running_example_params()));
   EXPECT_TRUE(solver.sweep(0, std::vector<double>{}).empty());
   const std::vector<double> xs = {500.0, 500.0, 500.0};
@@ -247,24 +249,25 @@ TEST(SweepApi, DuplicatesAndEmptyGridsAreFine) {
 // ---------------------------------------------------------------------------
 
 TEST(LoweredProblem, OneLoweringServesManyFacades) {
+  // One lowering behind every handle: two lookups of one SolverCache key
+  // share the problem, and solves through it match a fresh lowering.
   const auto g = testing::running_example_graph();
-  const auto prob = std::make_shared<const LoweredProblem>(
-      g,
-      std::make_shared<LatencyParamSpace>(testing::running_example_params()));
-  const Solver a(prob);
-  const Solver b(prob);
-  EXPECT_EQ(a.lowered_ptr().get(), b.lowered_ptr().get());
+  const auto p = testing::running_example_params();
+  core::SolverCache cache;
+  const core::GraphKey key{"running-example", 1, 1.0, p.S};
+  const auto a = cache.latency(key, g, p)->problem();
+  const auto b = cache.latency(key, g, p)->problem();
+  EXPECT_EQ(a.get(), b.get());
+  const LoweredProblem fresh(g, std::make_shared<LatencyParamSpace>(p));
   for (const double x : {0.0, 385.0, 500.0, 5'000.0}) {
-    const auto sa = a.solve(0, x);
-    const auto sb = b.solve(0, x);
-    const auto sd = prob->solve(0, x);
-    EXPECT_EQ(sa.value, sb.value);
+    const auto sa = a->solve(0, x);
+    const auto sd = fresh.solve(0, x);
     EXPECT_EQ(sa.value, sd.value);
     EXPECT_EQ(sa.gradient, sd.gradient);
     EXPECT_EQ(sa.lo, sd.lo);
     EXPECT_EQ(sa.hi, sd.hi);
   }
-  EXPECT_THROW(Solver(std::shared_ptr<const LoweredProblem>()), LpError);
+  EXPECT_THROW(LoweredProblem(g, nullptr), LpError);
 }
 
 /// Solve at each anchor point through a cursor, snapshot the anchor, and
@@ -357,13 +360,28 @@ TEST(AnchorReplay, RejectsNonCoveringAnchorsAndCsrLowerings) {
   EXPECT_THROW((void)csr.replay_anchor(csr_anchor, 1, p.G), LpError);
 }
 
+/// The grid shapes Entry::sweep must serve: `xs` as given, ascending,
+/// descending, and shuffled.
+std::vector<std::vector<double>> grid_shapes(const std::vector<double>& xs,
+                                             std::uint64_t seed) {
+  std::vector<double> asc = xs;
+  std::sort(asc.begin(), asc.end());
+  std::vector<double> desc(asc.rbegin(), asc.rend());
+  std::vector<double> shuffled = xs;
+  Rng rng(seed);
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    const auto j = static_cast<std::size_t>(rng.uniform() *
+                                            static_cast<double>(i));
+    std::swap(shuffled[i - 1], shuffled[std::min(j, i - 1)]);
+  }
+  return {xs, asc, desc, shuffled};
+}
+
 TEST(SolverCacheEntry, EvalIsBitwiseDenseColdWarmAndRepeated) {
   const auto g = testing::running_example_graph();
   const auto p = testing::running_example_params();
-  core::SolverCache cache;
   const core::GraphKey key{"running-example", 1, 1.0, p.S};
-  const auto entry = cache.latency(key, g, p);
-  const Solver dense(g, std::make_shared<LatencyParamSpace>(p));
+  const LoweredProblem dense(g, std::make_shared<LatencyParamSpace>(p));
 
   Rng rng(7);
   std::vector<double> xs;
@@ -371,26 +389,117 @@ TEST(SolverCacheEntry, EvalIsBitwiseDenseColdWarmAndRepeated) {
   // Repeats, the knot, and nearby points: the replay-heavy shapes.
   xs.insert(xs.end(), {385.0, 385.0, 500.0, 500.0, 500.5, 501.0});
 
-  LoweredProblem::Cursor cur;
-  std::vector<double> first_values;
-  for (const double x : xs) {
-    const auto ev = entry->eval(0, x, cur);
-    const auto ref = dense.solve(0, x);
-    EXPECT_EQ(ev.value, ref.value) << "x=" << x;
-    EXPECT_EQ(ev.slope, ref.gradient[0]) << "x=" << x;
-    first_values.push_back(ev.value);
-  }
-  const auto cold = cache.stats();
-  EXPECT_GT(cold.anchor_solves, 0u);
-  EXPECT_LE(entry->anchor_count(), 64u);
+  // Shape 0 goes point by point through eval(); every shape also goes
+  // through one sweep() call over a fresh cache.
+  const auto shapes = grid_shapes(xs, 8);
+  for (std::size_t shape = 0; shape < shapes.size(); ++shape) {
+    const std::vector<double>& grid = shapes[shape];
+    for (const bool per_point : {true, false}) {
+      if (per_point && shape != 0) continue;
+      SCOPED_TRACE(::testing::Message()
+                   << "shape=" << shape << " per_point=" << per_point);
+      core::SolverCache cache;
+      const auto entry = cache.latency(key, g, p);
+      LoweredProblem::Cursor cur;
+      const auto run = [&] {
+        std::vector<LoweredProblem::SweepEval> out(grid.size());
+        if (per_point) {
+          for (std::size_t i = 0; i < grid.size(); ++i) {
+            out[i] = entry->eval(0, grid[i], cur);
+          }
+        } else {
+          entry->sweep(0, grid, cur, out.data());
+        }
+        return out;
+      };
+      const auto first = run();
+      for (std::size_t i = 0; i < grid.size(); ++i) {
+        const auto ref = dense.solve(0, grid[i]);
+        EXPECT_EQ(first[i].value, ref.value) << "x=" << grid[i];
+        EXPECT_EQ(first[i].slope, ref.gradient[0]) << "x=" << grid[i];
+      }
+      const auto cold = cache.stats();
+      EXPECT_GT(cold.anchor_solves, 0u);
+      EXPECT_EQ(cold.anchor_solves + cold.replays, grid.size());
+      EXPECT_LE(entry->anchor_count(), 64u);
 
-  // Warm second pass: same bytes, now served by anchor replay.
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_EQ(entry->eval(0, xs[i], cur).value, first_values[i]);
+      // Warm second pass: same bytes, now served by anchor replay.
+      const auto second = run();
+      for (std::size_t i = 0; i < grid.size(); ++i) {
+        EXPECT_EQ(second[i].value, first[i].value) << "x=" << grid[i];
+        EXPECT_EQ(second[i].slope, first[i].slope) << "x=" << grid[i];
+      }
+      const auto warm = cache.stats();
+      EXPECT_GT(warm.replays, cold.replays);
+      EXPECT_EQ(warm.built, cold.built);
+    }
   }
-  const auto warm = cache.stats();
-  EXPECT_GT(warm.replays, cold.replays);
-  EXPECT_EQ(warm.built, cold.built);
+
+  // One cursor alternating between two entries (two different L): each
+  // sweep rewrites all cursor state it reads, so nothing leaks across.
+  core::SolverCache cache;
+  loggops::Params p2 = p;
+  p2.L += 250.0;
+  const auto a = cache.latency(key, g, p);
+  const auto b = cache.latency(key, g, p2);
+  ASSERT_NE(a.get(), b.get());
+  const LoweredProblem dense2(g, std::make_shared<LatencyParamSpace>(p2));
+  LoweredProblem::Cursor cur;
+  const std::vector<double>& asc = shapes[1];
+  for (std::size_t lo = 0; lo < asc.size(); lo += 7) {
+    const std::size_t n = std::min<std::size_t>(7, asc.size() - lo);
+    const std::span<const double> chunk(asc.data() + lo, n);
+    for (const bool first : {true, false}) {
+      const auto& entry = first ? a : b;
+      const LoweredProblem& ref = first ? dense : dense2;
+      std::vector<LoweredProblem::SweepEval> out(n);
+      entry->sweep(0, chunk, cur, out.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto d = ref.solve(0, chunk[i]);
+        EXPECT_EQ(out[i].value, d.value) << "first=" << first;
+        EXPECT_EQ(out[i].slope, d.gradient[0]) << "first=" << first;
+      }
+    }
+  }
+}
+
+TEST(SolverCacheEntry, SweepDenseSolvesMatchTheSegmentWalk) {
+  // A fresh-cache ascending sweep must cost what the segment walk costs:
+  // the entry keeps at most 64 anchors, and this grid crosses more basis
+  // pieces than that, so only the sweep's own last anchor keeps replay
+  // going.  Served point by point from the published store alone, the
+  // same sweep dense-solves every one of its 200 points.
+  const int ranks = apps::supported_ranks("hpcg", 64);
+  const auto g =
+      schedgen::build_graph(apps::make_app_trace("hpcg", ranks, 0.05));
+  auto p = loggops::NetworkConfig::cscs_testbed();
+  core::apply_table2_overhead(p, "hpcg", ranks);
+  const std::vector<TimeNs> grid = core::linear_grid(us(100), 200);
+  std::vector<double> xs;
+  for (const TimeNs d : grid) xs.push_back(p.L + d);
+
+  const LoweredProblem walk_prob(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem::Cursor cur;
+  std::vector<LoweredProblem::SweepEval> walk(xs.size());
+  LoweredProblem::SweepStats walk_stats;
+  walk_prob.sweep(0, xs, cur, walk.data(), &walk_stats);
+  EXPECT_EQ(walk_stats.anchor_solves, 85u);
+
+  const core::GraphKey key{"hpcg", ranks, 0.05, p.S};
+  core::SolverCache shared;
+  const core::LatencyAnalyzer warm(g, p, shared, key);
+  const core::LatencyAnalyzer cold(g, p);
+  for (const core::LatencyAnalyzer* an : {&warm, &cold}) {
+    SCOPED_TRACE(an == &warm ? "warm" : "cold");
+    const auto points = an->sweep(grid, 1);
+    // The constructor's base-runtime solve is the walk's first anchor.
+    EXPECT_EQ(an->cache().stats().anchor_solves, walk_stats.anchor_solves);
+    ASSERT_EQ(points.size(), walk.size());
+    for (std::size_t i = 0; i < walk.size(); ++i) {
+      EXPECT_EQ(points[i].runtime, walk[i].value) << "i=" << i;
+      EXPECT_EQ(points[i].lambda_L, walk[i].slope) << "i=" << i;
+    }
+  }
 }
 
 TEST(SolverCacheStats, KeysOnGraphKeyAndParamFingerprint) {
@@ -412,7 +521,8 @@ TEST(SolverCacheStats, KeysOnGraphKeyAndParamFingerprint) {
   EXPECT_NE(a.get(), bw.get());
   EXPECT_FALSE(bw->problem()->flat());
   LoweredProblem::Cursor cur;
-  const Solver dense(g, std::make_shared<LatencyBandwidthParamSpace>(p));
+  const LoweredProblem dense(g,
+                            std::make_shared<LatencyBandwidthParamSpace>(p));
   const auto ev = bw->eval(1, p.G, cur);
   const auto ref = dense.solve(1, p.G);
   EXPECT_EQ(ev.value, ref.value);
@@ -427,41 +537,59 @@ TEST(SolverCacheStats, KeysOnGraphKeyAndParamFingerprint) {
 TEST(SolverCacheEntry, ConcurrentEvalsAreBitwiseDense) {
   // 8 threads hammer one entry with overlapping repeated/nearby queries,
   // racing anchor publication; every result must equal the dense value.
+  // Threads 0-3 query point by point through eval(); threads 4-7 sweep
+  // the ascending, descending, shuffled and as-drawn grids in chunks.
   const auto g = testing::running_example_graph();
   const auto p = testing::running_example_params();
   core::SolverCache cache;
   const auto entry =
       cache.latency(core::GraphKey{"running-example", 1, 1.0, p.S}, g, p);
-  const Solver dense(g, std::make_shared<LatencyParamSpace>(p));
+  const LoweredProblem dense(g, std::make_shared<LatencyParamSpace>(p));
 
   std::vector<double> xs;
   Rng rng(99);
   for (int i = 0; i < 200; ++i) xs.push_back(rng.uniform(0.0, 4'000.0));
-  std::vector<double> refs;
-  for (const double x : xs) refs.push_back(dense.solve(0, x).value);
+  const auto shapes = grid_shapes(xs, 100);
 
   constexpr int kThreads = 8;
+  // The grid thread t queries, in its query order.
+  const auto grid_of = [&](int t) {
+    if (t >= 4) return shapes[static_cast<std::size_t>(t - 4 + 1) % 4];
+    std::vector<double> rot(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      // Distinct starting offsets so threads race different anchors.
+      rot[i] = xs[(i + static_cast<std::size_t>(t) * 25) % xs.size()];
+    }
+    return rot;
+  };
   std::vector<std::vector<double>> got(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      const std::vector<double> grid = grid_of(t);
+      auto& mine = got[static_cast<std::size_t>(t)];
       LoweredProblem::Cursor cur;
-      // Distinct starting offsets so threads race different anchors.
-      for (std::size_t i = 0; i < xs.size(); ++i) {
-        const std::size_t j = (i + static_cast<std::size_t>(t) * 25) %
-                              xs.size();
-        got[static_cast<std::size_t>(t)].push_back(
-            entry->eval(0, xs[j], cur).value);
+      if (t < 4) {
+        for (const double x : grid) {
+          mine.push_back(entry->eval(0, x, cur).value);
+        }
+        return;
       }
+      std::vector<LoweredProblem::SweepEval> out(grid.size());
+      for (std::size_t lo = 0; lo < grid.size(); lo += 40) {
+        const std::size_t n = std::min<std::size_t>(40, grid.size() - lo);
+        entry->sweep(0, std::span(grid).subspan(lo, n), cur, out.data() + lo);
+      }
+      for (const auto& ev : out) mine.push_back(ev.value);
     });
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < kThreads; ++t) {
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      const std::size_t j =
-          (i + static_cast<std::size_t>(t) * 25) % xs.size();
-      ASSERT_EQ(got[static_cast<std::size_t>(t)][i], refs[j])
-          << "thread=" << t << " x=" << xs[j];
+    const std::vector<double> grid = grid_of(t);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      ASSERT_EQ(got[static_cast<std::size_t>(t)][i],
+                dense.solve(0, grid[i]).value)
+          << "thread=" << t << " x=" << grid[i];
     }
   }
 }
@@ -477,8 +605,8 @@ TEST(BudgetBoundary, KnotTiesEpsBandAndViolatedAnchors) {
   // and base L = 500 (T = 1615).
   const auto g = testing::running_example_graph();
   const auto p = testing::running_example_params();
-  const Solver solver(g, std::make_shared<LatencyParamSpace>(p));
-  Solver::Workspace ws;
+  const LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem::Cursor ws;
 
   // Budget exactly ties the knot value: the answer is the knot (the whole
   // flat piece meets the budget; 385 is its right end), not +inf and not
@@ -508,7 +636,7 @@ TEST(BudgetBoundary, KnotTiesEpsBandAndViolatedAnchors) {
   // and a fresh one agree bitwise at every boundary shape, knot tie
   // included.
   solver.solve(0, 4'999.0, ws);
-  Solver::Workspace fresh;
+  LoweredProblem::Cursor fresh;
   EXPECT_EQ(solver.max_param_for_budget_from(0, 0.0, 1'500.0, ws),
             solver.max_param_for_budget_from(0, 0.0, 1'500.0, fresh));
   for (const double budget : {1'615.0, 1'616.0, 2'000.0, 1e9}) {
@@ -527,13 +655,13 @@ TEST_P(RandomConfigTest, BudgetBoundaryAgreesAcrossCursorStates) {
   cfg.steps = 100;
   const auto g = schedgen::build_graph(testing::random_trace(cfg));
   const loggops::Params p = random_params(GetParam() * 53 + 29);
-  const Solver solver(g, std::make_shared<LatencyParamSpace>(p));
-  Solver::Workspace warm;
+  const LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem::Cursor warm;
   const double base_value = solver.solve(0, p.L, warm).value;
   for (const double factor : {1.0, 1.0 + 1e-12, 1.001, 1.05, 1.5}) {
     const double budget = base_value * factor;
     const double a = solver.max_param_for_budget_from(0, p.L, budget, warm);
-    Solver::Workspace fresh;
+    LoweredProblem::Cursor fresh;
     const double b = solver.max_param_for_budget_from(0, p.L, budget, fresh);
     EXPECT_EQ(a, b) << "factor=" << factor;
     EXPECT_GE(a, p.L);
@@ -566,11 +694,11 @@ std::vector<double> batch_grid(double lo, double hi, int points,
   return xs;
 }
 
-void expect_batch_matches_dense(const Solver& solver, int k,
+void expect_batch_matches_dense(const LoweredProblem& solver, int k,
                                 const std::vector<double>& xs,
-                                Solver::BatchCursor& bc) {
-  std::vector<Solver::BatchPoint> plain(xs.size());
-  std::vector<Solver::BatchPoint> ranged(xs.size());
+                                LoweredProblem::BatchCursor& bc) {
+  std::vector<LoweredProblem::BatchPoint> plain(xs.size());
+  std::vector<LoweredProblem::BatchPoint> ranged(xs.size());
   solver.solve_batch(k, xs.data(), xs.size(), bc, plain.data());
   solver.solve_batch_ranges(k, xs.data(), xs.size(), bc, ranged.data());
   for (std::size_t i = 0; i < xs.size(); ++i) {
@@ -586,13 +714,14 @@ void expect_batch_matches_dense(const Solver& solver, int k,
 }
 
 TEST(BatchSolve, BitwiseMatchesDenseOnAllRegisteredApps) {
-  Solver::BatchCursor bc;  // shared across apps: reuse must not leak state
+  // Shared across apps: reuse must not leak state.
+  LoweredProblem::BatchCursor bc;
   for (const std::string& app : apps::app_names()) {
     const int ranks = apps::supported_ranks(app, 8);
     const auto g =
         schedgen::build_graph(apps::make_app_trace(app, ranks, 0.02));
     const auto p = loggops::NetworkConfig::cscs_testbed();
-    Solver solver(g, std::make_shared<LatencyParamSpace>(p));
+    LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
     SCOPED_TRACE(app);
     expect_batch_matches_dense(
         solver, 0,
@@ -608,8 +737,8 @@ TEST_P(RandomConfigTest, BatchBitwiseMatchesDenseAtEveryBlockBoundary) {
   cfg.steps = 110;
   const auto g = schedgen::build_graph(testing::random_trace(cfg));
   const loggops::Params p = random_params(GetParam() * 271 + 13);
-  Solver solver(g, std::make_shared<LatencyParamSpace>(p));
-  Solver::BatchCursor bc;
+  LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem::BatchCursor bc;
   const auto xs =
       batch_grid(0.0, p.L + 200'000.0, 31, GetParam() * 7 + 1);
   // Prefix lengths straddling every sub-block shape the tail dispatch can
@@ -635,14 +764,14 @@ TEST_P(RandomConfigTest, BatchCsrFallbackBitwiseMatchesDense) {
   cfg.steps = 100;
   const auto g = schedgen::build_graph(testing::random_trace(cfg));
   const loggops::Params p = random_params(GetParam() * 631 + 7);
-  Solver::BatchCursor bc;
+  LoweredProblem::BatchCursor bc;
 
-  Solver bw(g, std::make_shared<LatencyBandwidthParamSpace>(p));
+  LoweredProblem bw(g, std::make_shared<LatencyBandwidthParamSpace>(p));
   expect_batch_matches_dense(bw, 1, batch_grid(0.0, p.G + 2.0, 13, 21), bc);
 
   const auto pair_space =
       std::make_shared<PairwiseLatencyParamSpace>(p, cfg.nranks);
-  Solver pw(g, pair_space);
+  LoweredProblem pw(g, pair_space);
   const int k = pair_space->pair_index(0, cfg.nranks - 1);
   expect_batch_matches_dense(pw, k,
                              batch_grid(0.0, p.L + 80'000.0, 13, 22), bc);
@@ -655,7 +784,7 @@ TEST_P(RandomConfigTest, BatchBudgetSearchBitwiseMatchesScalar) {
   cfg.steps = 100;
   const auto g = schedgen::build_graph(testing::random_trace(cfg));
   const loggops::Params p = random_params(GetParam() * 47 + 19);
-  const Solver solver(g, std::make_shared<LatencyParamSpace>(p));
+  const LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
   const double base_value = solver.solve(0, p.L).value;
 
   // 10 lanes (not a multiple of the block width): anchors on and off the
@@ -670,11 +799,11 @@ TEST_P(RandomConfigTest, BatchBudgetSearchBitwiseMatchesScalar) {
     budget.push_back(base_value * factor);
   }
   std::vector<double> batch(from.size());
-  Solver::BatchCursor bc;
+  LoweredProblem::BatchCursor bc;
   solver.max_param_for_budget_from_batch(0, from.data(), budget.data(),
                                          from.size(), bc, batch.data());
   for (std::size_t i = 0; i < from.size(); ++i) {
-    Solver::Workspace ws;
+    LoweredProblem::Cursor ws;
     EXPECT_EQ(batch[i],
               solver.max_param_for_budget_from(0, from[i], budget[i], ws))
         << "lane=" << i << " from=" << from[i] << " budget=" << budget[i];
@@ -684,10 +813,10 @@ TEST_P(RandomConfigTest, BatchBudgetSearchBitwiseMatchesScalar) {
 TEST(BatchSolve, ErrorsAndEdgeShapesMatchScalarContracts) {
   const auto g = testing::running_example_graph();
   const auto p = testing::running_example_params();
-  const Solver solver(g, std::make_shared<LatencyParamSpace>(p));
-  Solver::BatchCursor bc;
+  const LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem::BatchCursor bc;
   std::vector<double> xs = {0.0, 500.0};
-  std::vector<Solver::BatchPoint> out(xs.size());
+  std::vector<LoweredProblem::BatchPoint> out(xs.size());
   // Out-of-range active parameter: same LpError as solve().
   EXPECT_THROW(solver.solve_batch(7, xs.data(), xs.size(), bc, out.data()),
                LpError);
@@ -706,7 +835,7 @@ TEST(BatchSolve, ErrorsAndEdgeShapesMatchScalarContracts) {
   // Fig. 4c at block width and off it.
   std::vector<double> grid;
   for (int i = 0; i < 11; ++i) grid.push_back(i * 100.0);
-  std::vector<Solver::BatchPoint> pts(grid.size());
+  std::vector<LoweredProblem::BatchPoint> pts(grid.size());
   solver.solve_batch(0, grid.data(), grid.size(), bc, pts.data());
   for (std::size_t i = 0; i < grid.size(); ++i) {
     EXPECT_DOUBLE_EQ(pts[i].value, std::max(grid[i] + 1'115.0, 1'500.0));
@@ -718,7 +847,7 @@ TEST(SegmentWalk, RunningExampleAnchorsOncePerPiece) {
   // The running example has exactly two pieces (L_c = 385 ns); a 200-point
   // walk must reproduce the paper's numbers at every grid point.
   const auto g = testing::running_example_graph();
-  Solver solver(
+  LoweredProblem solver(
       g, std::make_shared<LatencyParamSpace>(testing::running_example_params()));
   std::vector<double> xs;
   for (int i = 0; i < 200; ++i) xs.push_back(i * 5.0);

@@ -158,8 +158,8 @@ TEST(PerturbedSpace, AllOnesFactorsAreBitwiseTransparent) {
   const auto perturbed = std::make_shared<lp::PerturbedParamSpace>(
       base, std::vector<double>(g.num_edges(), 1.0));
 
-  lp::ParametricSolver plain(g, base);
-  lp::ParametricSolver hooked(g, perturbed);
+  lp::LoweredProblem plain(g, base);
+  lp::LoweredProblem hooked(g, perturbed);
   for (const double L : {0.0, 1'500.0, 3'000.0, 50'000.0}) {
     const auto a = plain.solve(0, L);
     const auto b = hooked.solve(0, L);
@@ -176,8 +176,8 @@ TEST(PerturbedSpace, UniformSlowdownRaisesRuntime) {
   const auto base = std::make_shared<lp::LatencyParamSpace>(p);
   const auto slow = std::make_shared<lp::PerturbedParamSpace>(
       base, std::vector<double>(g.num_edges(), 1.25));
-  lp::ParametricSolver plain(g, base);
-  lp::ParametricSolver hooked(g, slow);
+  lp::LoweredProblem plain(g, base);
+  lp::LoweredProblem hooked(g, slow);
   EXPECT_GT(hooked.solve(0, p.L).value, plain.solve(0, p.L).value);
 }
 
@@ -201,7 +201,7 @@ TEST(PerturbedSpace, AgreesWithSimplexUnderRandomFactors) {
   const auto s = lp::SimplexSolver{}.solve(glp.model);
   ASSERT_EQ(s.status, lp::SolveStatus::kOptimal);
 
-  lp::ParametricSolver solver(g, space);
+  lp::LoweredProblem solver(g, space);
   const auto sol = solver.solve(0, p.L);
   EXPECT_NEAR(s.objective, sol.value, 1e-6 * (1.0 + sol.value));
   EXPECT_NEAR(s.reduced_cost[static_cast<std::size_t>(glp.param_vars[0])],
@@ -221,7 +221,7 @@ TEST(PerturbedSpace, RejectsBadFactors) {
   const auto g = small_app_graph();
   const auto wrong = std::make_shared<lp::PerturbedParamSpace>(
       base, std::vector<double>(3, 1.0));
-  EXPECT_THROW(lp::ParametricSolver(g, wrong), LpError);
+  EXPECT_THROW(lp::LoweredProblem(g, wrong), LpError);
 }
 
 // ---------------------------------------------------------------------------
@@ -444,7 +444,7 @@ TEST(StochMc, GeneralPathMatchesManualPerturbedSolve) {
   const auto space = std::make_shared<lp::PerturbedParamSpace>(
       std::make_shared<lp::LatencyParamSpace>(p),
       std::vector<double>(g.num_edges(), 1.0 + 0.01));
-  lp::ParametricSolver solver(g, space);
+  lp::LoweredProblem solver(g, space);
   EXPECT_EQ(res.runtime[0].mean(), solver.solve(0, p.L).value);
   EXPECT_EQ(res.runtime[1].mean(), solver.solve(0, p.L + 10'000.0).value);
   EXPECT_EQ(res.lambda_L.mean(), solver.solve(0, p.L).gradient[0]);

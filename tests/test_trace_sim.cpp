@@ -141,7 +141,7 @@ TEST_P(TraceSimEquivalence, MatchesGraphLpOnRandomPrograms) {
   for (const double L : {0.0, 1'000.0, 25'000.0}) {
     p.L = L;
     const auto space_at = std::make_shared<lp::LatencyParamSpace>(p);
-    lp::ParametricSolver solver(g, space_at);
+    lp::LoweredProblem solver(g, space_at);
     const double t_lp = solver.solve(0, L).value;
     const double t_op = trace_sim.run(p).makespan;
     EXPECT_NEAR(t_op, t_lp, 1e-6 * (1.0 + t_lp)) << "L=" << L;
