@@ -1,514 +1,241 @@
 #include "api/request.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <initializer_list>
-#include <limits>
+#include <iterator>
 
 #include "util/error.hpp"
 #include "util/json.hpp"
-#include "util/strings.hpp"
 
 namespace llamp::api {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Serialization.  One canonical field order per type; `", "` / `": "`
-// separators matching the core/report emitters.
+// The field tables.  Row order is the canonical JSON field order; nested
+// blocks are objects in JSON and flat on the CLI.
 // ---------------------------------------------------------------------------
 
-std::string quoted(const std::string& s) {
-  return '"' + json_escape_string(s) + '"';
-}
+using App = AppSpec;
+using Grid = GridSpec;
+using Fabric = core::TopologyOptions;
+using Mc = McRequest;
+using Camp = CampaignRequest;
+using Topo = TopoRequest;
+using Place = PlaceRequest;
 
-void append_app(std::string& out, const AppSpec& a) {
-  out += "\"app\": {\"name\": " + quoted(a.app) +
-         ", \"ranks\": " + std::to_string(a.ranks) +
-         ", \"scale\": " + json_double(a.scale) +
-         ", \"net\": " + quoted(a.net);
-  if (a.L) out += ", \"L_ns\": " + json_double(*a.L);
-  if (a.o) out += ", \"o_ns\": " + json_double(*a.o);
-  if (a.G) out += ", \"G_ns_per_byte\": " + json_double(*a.G);
-  if (a.S) out += ", \"S_bytes\": " + std::to_string(*a.S);
-  out += '}';
-}
-
-void append_grid(std::string& out, const GridSpec& g) {
-  out += "\"grid\": {\"dl_max_us\": " + json_double(g.dl_max_us) +
-         ", \"points\": " + std::to_string(g.points) + '}';
-}
-
-void append_num_array(std::string& out, const char* key,
-                      const std::vector<double>& values) {
-  out += '"';
-  out += key;
-  out += "\": [";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    out += json_double(values[i]);
-    if (i + 1 < values.size()) out += ", ";
-  }
-  out += ']';
-}
-
-void append_int_array(std::string& out, const char* key,
-                      const std::vector<int>& values) {
-  out += '"';
-  out += key;
-  out += "\": [";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    out += std::to_string(values[i]);
-    if (i + 1 < values.size()) out += ", ";
-  }
-  out += ']';
-}
-
-void append_str_array(std::string& out, const char* key,
-                      const std::vector<std::string>& values) {
-  out += '"';
-  out += key;
-  out += "\": [";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    out += quoted(values[i]);
-    if (i + 1 < values.size()) out += ", ";
-  }
-  out += ']';
-}
-
-std::string json_of(const AnalyzeRequest& r, const char* op) {
-  std::string out = "{\"op\": \"";
-  out += op;
-  out += "\", ";
-  append_app(out, r.app);
-  out += ", ";
-  append_grid(out, r.grid);
-  out += ", \"threads\": " + std::to_string(r.threads) + '}';
-  return out;
-}
-
-std::string json_of(const McRequest& r) {
-  std::string out = "{\"op\": \"mc\", ";
-  append_app(out, r.app);
-  out += ", ";
-  append_grid(out, r.grid);
-  out += ", \"samples\": " + std::to_string(r.samples);
-  out += ", \"seed\": " + std::to_string(r.seed);
-  if (!r.dist_L.empty()) out += ", \"dist_L\": " + quoted(r.dist_L);
-  if (!r.dist_o.empty()) out += ", \"dist_o\": " + quoted(r.dist_o);
-  if (!r.dist_G.empty()) out += ", \"dist_G\": " + quoted(r.dist_G);
-  out += ", \"sigma_L\": " + json_double(r.sigma_L);
-  out += ", \"sigma_o\": " + json_double(r.sigma_o);
-  out += ", \"sigma_G\": " + json_double(r.sigma_G);
-  out += ", \"edge_sigma\": " + json_double(r.edge_sigma);
-  out += ", \"edge_bias\": " + json_double(r.edge_bias);
-  out += ", ";
-  append_num_array(out, "bands", r.bands);
-  out += ", \"threads\": " + std::to_string(r.threads) + '}';
-  return out;
-}
-
-std::string json_of(const CampaignRequest& r) {
-  std::string out = "{\"op\": \"campaign\", ";
-  append_str_array(out, "apps", r.apps);
-  out += ", ";
-  append_int_array(out, "ranks", r.ranks);
-  out += ", ";
-  append_num_array(out, "scales", r.scales);
-  out += ", ";
-  append_str_array(out, "topologies", r.topologies);
-  out += ", ";
-  append_str_array(out, "nets", r.nets);
-  if (!r.L_list.empty()) {
-    out += ", ";
-    append_str_array(out, "L_list", r.L_list);
-  }
-  if (!r.o_list.empty()) {
-    out += ", ";
-    append_str_array(out, "o_list", r.o_list);
-  }
-  if (!r.G_list.empty()) {
-    out += ", ";
-    append_str_array(out, "G_list", r.G_list);
-  }
-  if (r.S) out += ", \"S_bytes\": " + std::to_string(*r.S);
-  out += ", ";
-  append_grid(out, r.grid);
-  out += strformat(
-      ", \"topo\": {\"l_wire_ns\": %s, \"d_switch_ns\": %s, "
-      "\"ft_radix\": %d, \"df_groups\": %d, \"df_routers\": %d, "
-      "\"df_hosts\": %d}",
-      json_double(r.topo.l_wire).c_str(), json_double(r.topo.d_switch).c_str(),
-      r.topo.ft_radix, r.topo.df_groups, r.topo.df_routers, r.topo.df_hosts);
-  out += ", \"mc_samples\": " + std::to_string(r.mc_samples);
-  out += ", \"seed\": " + std::to_string(r.seed);
-  out += ", \"mc_sigma_L\": " + json_double(r.mc_sigma_L);
-  out += ", \"mc_sigma_o\": " + json_double(r.mc_sigma_o);
-  out += ", \"mc_sigma_G\": " + json_double(r.mc_sigma_G);
-  out += ", \"mc_edge_sigma\": " + json_double(r.mc_edge_sigma);
-  out += ", \"mc_edge_bias\": " + json_double(r.mc_edge_bias);
-  if (!r.probe.empty()) {
-    out += ", \"probe\": " + quoted(r.probe);
-    out += ", \"probe_runs\": " + std::to_string(r.probe_runs);
-    out += ", \"noise_sigma\": " + json_double(r.noise_sigma);
-  }
-  out += ", \"threads\": " + std::to_string(r.threads) + '}';
-  return out;
-}
-
-std::string json_of(const TopoRequest& r) {
-  std::string out = "{\"op\": \"topo\", ";
-  append_app(out, r.app);
-  out += strformat(
-      ", \"l_wire_ns\": %s, \"d_switch_ns\": %s, \"ft_radix\": %d, "
-      "\"df_groups\": %d, \"df_routers\": %d, \"df_hosts\": %d}",
-      json_double(r.l_wire).c_str(), json_double(r.d_switch).c_str(),
-      r.ft_radix, r.df_groups, r.df_routers, r.df_hosts);
-  return out;
-}
-
-std::string json_of(const PlaceRequest& r) {
-  std::string out = "{\"op\": \"place\", ";
-  append_app(out, r.app);
-  out += strformat(
-      ", \"l_wire_ns\": %s, \"d_switch_ns\": %s, \"ft_radix\": %d, "
-      "\"max_rounds\": %d}",
-      json_double(r.l_wire).c_str(), json_double(r.d_switch).c_str(),
-      r.ft_radix, r.max_rounds);
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Parsing.  Every object level carries an explicit key allowlist; a field
-// outside it is a UsageError, mirroring the CLI's typo'd-flag stance.
-// ---------------------------------------------------------------------------
-
-/// Checked view over one JSON object.
-class Obj {
- public:
-  Obj(const JsonValue& v, std::string ctx) : v_(v), ctx_(std::move(ctx)) {
-    (void)v_.members(ctx_);  // raises if not an object
-  }
-
-  /// Reject members outside `keys`.
-  void allow(std::initializer_list<std::string_view> keys) const {
-    for (const auto& [k, val] : v_.members(ctx_)) {
-      if (std::find(keys.begin(), keys.end(), k) == keys.end()) {
-        throw UsageError(strformat("json: unknown field \"%s\" in %s",
-                                   k.c_str(), ctx_.c_str()));
-      }
-    }
-  }
-
-  bool has(std::string_view key) const { return v_.find(key) != nullptr; }
-  const JsonValue* find(std::string_view key) const { return v_.find(key); }
-
-  std::string field(std::string_view key) const {
-    return ctx_ + "." + std::string(key);
-  }
-
-  double number(std::string_view key, double fallback) const {
-    const JsonValue* v = v_.find(key);
-    return v ? v->as_number(field(key)) : fallback;
-  }
-
-  int integer(std::string_view key, int fallback) const {
-    const JsonValue* v = v_.find(key);
-    return v ? to_int(*v, field(key)) : fallback;
-  }
-
-  std::uint64_t unsigned64(std::string_view key, std::uint64_t fallback) const {
-    const JsonValue* v = v_.find(key);
-    return v ? v->as_unsigned(field(key)) : fallback;
-  }
-
-  std::string string(std::string_view key, const std::string& fallback) const {
-    const JsonValue* v = v_.find(key);
-    return v ? v->as_string(field(key)) : fallback;
-  }
-
-  std::vector<std::string> strings(std::string_view key,
-                                   std::vector<std::string> fallback) const {
-    const JsonValue* v = v_.find(key);
-    if (!v) return fallback;
-    std::vector<std::string> out;
-    for (const JsonValue& e : v->as_array(field(key))) {
-      out.push_back(e.as_string(field(key) + "[]"));
-    }
-    return out;
-  }
-
-  std::vector<int> integers(std::string_view key,
-                            std::vector<int> fallback) const {
-    const JsonValue* v = v_.find(key);
-    if (!v) return fallback;
-    std::vector<int> out;
-    for (const JsonValue& e : v->as_array(field(key))) {
-      out.push_back(to_int(e, field(key) + "[]"));
-    }
-    return out;
-  }
-
-  std::vector<double> numbers(std::string_view key,
-                              std::vector<double> fallback) const {
-    const JsonValue* v = v_.find(key);
-    if (!v) return fallback;
-    std::vector<double> out;
-    for (const JsonValue& e : v->as_array(field(key))) {
-      out.push_back(e.as_number(field(key) + "[]"));
-    }
-    return out;
-  }
-
-  /// A list of numbers whose *spelling* matters (the campaign override
-  /// axes name config variants after the user's text): JSON strings are
-  /// kept verbatim, JSON numbers take their shortest round-trip form.
-  std::vector<std::string> spelled_numbers(std::string_view key) const {
-    const JsonValue* v = v_.find(key);
-    if (!v) return {};
-    std::vector<std::string> out;
-    for (const JsonValue& e : v->as_array(field(key))) {
-      if (e.kind() == JsonValue::Kind::kNumber) {
-        out.push_back(json_double(e.as_number(field(key) + "[]")));
-      } else {
-        out.push_back(e.as_string(field(key) + "[]"));
-      }
-    }
-    return out;
-  }
-
- private:
-  static int to_int(const JsonValue& v, const std::string& what) {
-    const double d = v.as_number(what);
-    if (d != std::floor(d) || d < std::numeric_limits<int>::min() ||
-        d > std::numeric_limits<int>::max()) {
-      throw UsageError(
-          strformat("json: %s: expected an integer", what.c_str()));
-    }
-    return static_cast<int>(d);
-  }
-
-  const JsonValue& v_;
-  std::string ctx_;
+constexpr Field kAppFields[] = {
+    field<&App::app>("name", "app", "proxy application (`llamp apps`)"),
+    field<&App::ranks>("ranks", "ranks",
+                       "requested ranks, clamped down to a supported count"),
+    field<&App::scale>("scale", "scale", "iteration-count multiplier"),
+    field<&App::net>("net", "net", "LogGPS preset: cscs or daint"),
+    field<&App::L>("L_ns", "L", "latency override [ns]"),
+    field<&App::o>("o_ns", "o",
+                   "overhead override [ns] (default: Table II per app)"),
+    field<&App::G>("G_ns_per_byte", "G", "gap per byte override [ns/B]"),
+    field<&App::S>("S_bytes", "S", "rendezvous threshold [bytes], >= 1"),
 };
 
-AppSpec parse_app(const Obj& parent) {
-  AppSpec a;
-  const JsonValue* v = parent.find("app");
-  if (!v) return a;
-  const Obj obj(*v, parent.field("app"));
-  obj.allow({"name", "ranks", "scale", "net", "L_ns", "o_ns",
-             "G_ns_per_byte", "S_bytes"});
-  a.app = obj.string("name", a.app);
-  a.ranks = obj.integer("ranks", a.ranks);
-  a.scale = obj.number("scale", a.scale);
-  a.net = obj.string("net", a.net);
-  if (obj.has("L_ns")) a.L = obj.number("L_ns", 0.0);
-  if (obj.has("o_ns")) a.o = obj.number("o_ns", 0.0);
-  if (obj.has("G_ns_per_byte")) a.G = obj.number("G_ns_per_byte", 0.0);
-  if (obj.has("S_bytes")) a.S = obj.unsigned64("S_bytes", 0);
-  return a;
+constexpr Field kGridFields[] = {
+    field<&Grid::dl_max_us>("dl_max_us", "dl-max-us",
+                            "sweep ceiling ΔL_max [us], > 0"),
+    field<&Grid::points>("points", "points", "grid points, >= 2"),
+};
+
+constexpr const char* kThreads = "parallelism, <= 0 = all cores";
+constexpr const char* kLWire = "per-wire base latency [ns]";
+constexpr const char* kDSwitch = "per-switch latency [ns]";
+constexpr const char* kFtRadix = "Fat Tree switch radix (8: 128 nodes)";
+
+constexpr Field kFabricFields[] = {
+    field<&Fabric::l_wire>("l_wire_ns", "l-wire", kLWire),
+    field<&Fabric::d_switch>("d_switch_ns", "d-switch", kDSwitch),
+    field<&Fabric::ft_radix>("ft_radix", "ft-radix", kFtRadix),
+    field<&Fabric::df_groups>("df_groups", "df-groups", "Dragonfly groups"),
+    field<&Fabric::df_routers>("df_routers", "df-routers", "routers/group"),
+    field<&Fabric::df_hosts>("df_hosts", "df-hosts", "hosts/router"),
+};
+
+/// analyze and sweep share one shape; only the op tag differs.
+template <class R>
+constexpr Field kSweepFields[] = {
+    block<&R::app>("app", kAppFields),
+    block<&R::grid>("grid", kGridFields),
+    field<&R::threads>("threads", "threads", kThreads),
+};
+
+constexpr Field kMcFields[] = {
+    block<&Mc::app>("app", kAppFields),
+    block<&Mc::grid>("grid", kGridFields),
+    field<&Mc::samples>("samples", "samples", "Monte Carlo samples, >= 1"),
+    field<&Mc::seed>("seed", "seed", "RNG seed; same seed, same bytes"),
+    field<&Mc::dist_L>("dist_L", "dist-L",
+                       "L distribution, overriding --sigma-L: base, "
+                       "const:V, normal:M,SD, relnormal:S, uniform:LO,HI",
+                       kOptional),
+    field<&Mc::dist_o>("dist_o", "dist-o", "o distribution", kOptional),
+    field<&Mc::dist_G>("dist_G", "dist-G", "G distribution", kOptional),
+    field<&Mc::sigma_L>("sigma_L", "sigma-L", "relative normal jitter of L"),
+    field<&Mc::sigma_o>("sigma_o", "sigma-o", "relative normal jitter of o"),
+    field<&Mc::sigma_G>("sigma_G", "sigma-G", "relative normal jitter of G"),
+    field<&Mc::edge_sigma>("edge_sigma", "edge-sigma",
+                           "per-edge cost factor 1 + bias + |N(0, sigma)|"),
+    field<&Mc::edge_bias>("edge_bias", "edge-bias", "per-edge cost bias"),
+    field<&Mc::bands>("bands", "bands", "tolerance band percents"),
+    field<&Mc::threads>("threads", "threads", kThreads),
+};
+
+constexpr Field kCampaignFields[] = {
+    field<&Camp::apps>("apps", "apps", "proxy applications"),
+    field<&Camp::ranks>("ranks", "ranks", "rank counts, clamped per app"),
+    field<&Camp::scales>("scales", "scales", "iteration-count multipliers"),
+    field<&Camp::topologies>("topologies", "topos",
+                             "none, fat-tree, dragonfly (ΔL per wire)"),
+    field<&Camp::nets>("nets", "nets", "LogGPS presets: cscs, daint"),
+    field<&Camp::L_list>("L_list", "L-list", "L override axis [ns]",
+                         kOptional | kSpelled),
+    field<&Camp::o_list>("o_list", "o-list", "o override axis [ns]",
+                         kOptional | kSpelled),
+    field<&Camp::G_list>("G_list", "G-list", "G override axis [ns/B]",
+                         kOptional | kSpelled),
+    field<&Camp::S>("S_bytes", "S", "rendezvous threshold [bytes], >= 1"),
+    block<&Camp::grid>("grid", kGridFields),
+    block<&Camp::topo>("topo", kFabricFields),
+    field<&Camp::mc_samples>("mc_samples", "mc-samples",
+                             "Monte Carlo samples per scenario (0: off)"),
+    field<&Camp::seed>("seed", "seed", "RNG seed of the mc axis and probe"),
+    field<&Camp::mc_sigma_L>("mc_sigma_L", "mc-sigma-L", "mc jitter of L"),
+    field<&Camp::mc_sigma_o>("mc_sigma_o", "mc-sigma-o", "mc jitter of o"),
+    field<&Camp::mc_sigma_G>("mc_sigma_G", "mc-sigma-G", "mc jitter of G"),
+    field<&Camp::mc_edge_sigma>("mc_edge_sigma", "mc-edge-sigma",
+                                "mc per-edge cost noise"),
+    field<&Camp::mc_edge_bias>("mc_edge_bias", "mc-edge-bias",
+                               "mc per-edge cost bias"),
+    field<&Camp::probe>("probe", "probe",
+                        "emulator: add the seeded emulator's measurement",
+                        kOptional),
+    field<&Camp::probe_runs>("probe_runs", "probe-runs",
+                             "probe runs averaged per point", 0, "probe"),
+    field<&Camp::noise_sigma>("noise_sigma", "noise-sigma",
+                              "probe run-to-run noise", 0, "probe"),
+    field<&Camp::threads>("threads", "threads", kThreads),
+};
+
+constexpr Field kTopoFields[] = {
+    block<&Topo::app>("app", kAppFields),
+    field<&Topo::l_wire>("l_wire_ns", "l-wire", kLWire),
+    field<&Topo::d_switch>("d_switch_ns", "d-switch", kDSwitch),
+    field<&Topo::ft_radix>("ft_radix", "ft-radix", kFtRadix),
+    field<&Topo::df_groups>("df_groups", "df-groups", "Dragonfly groups"),
+    field<&Topo::df_routers>("df_routers", "df-routers", "routers/group"),
+    field<&Topo::df_hosts>("df_hosts", "df-hosts", "hosts/router"),
+};
+
+constexpr Field kPlaceFields[] = {
+    block<&Place::app>("app", kAppFields),
+    field<&Place::l_wire>("l_wire_ns", "l-wire", kLWire),
+    field<&Place::d_switch>("d_switch_ns", "d-switch", kDSwitch),
+    field<&Place::ft_radix>("ft_radix", "ft-radix", kFtRadix),
+    field<&Place::max_rounds>("max_rounds", "max-rounds",
+                              "Algorithm-3 round cap"),
+};
+
+template <class R>
+Request make() {
+  return R{};
 }
 
-GridSpec parse_grid(const Obj& parent) {
-  GridSpec g;
-  const JsonValue* v = parent.find("grid");
-  if (!v) return g;
-  const Obj obj(*v, parent.field("grid"));
-  obj.allow({"dl_max_us", "points"});
-  g.dl_max_us = obj.number("dl_max_us", g.dl_max_us);
-  g.points = obj.integer("points", g.points);
-  return g;
-}
+/// One entry per Request alternative, in variant order.
+struct Op {
+  const char* name;
+  std::span<const Field> fields;
+  Request (*make)();
+};
 
-template <typename R>
-R parse_analyze_like(const Obj& obj) {
-  obj.allow({"op", "app", "grid", "threads"});
-  R r;
-  r.app = parse_app(obj);
-  r.grid = parse_grid(obj);
-  r.threads = obj.integer("threads", 0);
-  return r;
-}
+constexpr Op kOps[] = {
+    {"analyze", kSweepFields<AnalyzeRequest>, make<AnalyzeRequest>},
+    {"sweep", kSweepFields<SweepRequest>, make<SweepRequest>},
+    {"campaign", kCampaignFields, make<CampaignRequest>},
+    {"mc", kMcFields, make<McRequest>},
+    {"topo", kTopoFields, make<TopoRequest>},
+    {"place", kPlaceFields, make<PlaceRequest>},
+};
+static_assert(std::size(kOps) == std::variant_size_v<Request>);
 
-McRequest parse_mc(const Obj& obj) {
-  obj.allow({"op", "app", "grid", "samples", "seed", "dist_L", "dist_o",
-             "dist_G", "sigma_L", "sigma_o", "sigma_G", "edge_sigma",
-             "edge_bias", "bands", "threads"});
-  McRequest r;
-  r.app = parse_app(obj);
-  r.grid = parse_grid(obj);
-  r.samples = obj.integer("samples", r.samples);
-  r.seed = obj.unsigned64("seed", r.seed);
-  // An explicitly empty dist field is a mistake, not a silent fall-back
-  // to the sigma path (empty means "field absent" in the value type).
-  const auto dist = [&](std::string_view key) -> std::string {
-    const std::string spec = obj.string(key, "");
-    if (obj.has(key) && spec.empty()) {
-      throw UsageError("json: " + obj.field(key) +
-                       ": empty distribution spec");
-    }
-    return spec;
-  };
-  r.dist_L = dist("dist_L");
-  r.dist_o = dist("dist_o");
-  r.dist_G = dist("dist_G");
-  r.sigma_L = obj.number("sigma_L", 0.0);
-  r.sigma_o = obj.number("sigma_o", 0.0);
-  r.sigma_G = obj.number("sigma_G", 0.0);
-  r.edge_sigma = obj.number("edge_sigma", 0.0);
-  r.edge_bias = obj.number("edge_bias", 0.0);
-  r.bands = obj.numbers("bands", r.bands);
-  r.threads = obj.integer("threads", 0);
-  return r;
-}
-
-CampaignRequest parse_campaign(const Obj& obj) {
-  obj.allow({"op", "apps", "ranks", "scales", "topologies", "nets", "L_list",
-             "o_list", "G_list", "S_bytes", "grid", "topo", "mc_samples",
-             "seed", "mc_sigma_L", "mc_sigma_o", "mc_sigma_G",
-             "mc_edge_sigma", "mc_edge_bias", "probe", "probe_runs",
-             "noise_sigma", "threads"});
-  CampaignRequest r;
-  r.apps = obj.strings("apps", r.apps);
-  r.ranks = obj.integers("ranks", r.ranks);
-  r.scales = obj.numbers("scales", r.scales);
-  r.topologies = obj.strings("topologies", r.topologies);
-  r.nets = obj.strings("nets", r.nets);
-  r.L_list = obj.spelled_numbers("L_list");
-  r.o_list = obj.spelled_numbers("o_list");
-  r.G_list = obj.spelled_numbers("G_list");
-  if (obj.has("S_bytes")) r.S = obj.unsigned64("S_bytes", 0);
-  r.grid = parse_grid(obj);
-  if (const JsonValue* t = obj.find("topo")) {
-    const Obj topo(*t, obj.field("topo"));
-    topo.allow({"l_wire_ns", "d_switch_ns", "ft_radix", "df_groups",
-                "df_routers", "df_hosts"});
-    r.topo.l_wire = topo.number("l_wire_ns", r.topo.l_wire);
-    r.topo.d_switch = topo.number("d_switch_ns", r.topo.d_switch);
-    r.topo.ft_radix = topo.integer("ft_radix", r.topo.ft_radix);
-    r.topo.df_groups = topo.integer("df_groups", r.topo.df_groups);
-    r.topo.df_routers = topo.integer("df_routers", r.topo.df_routers);
-    r.topo.df_hosts = topo.integer("df_hosts", r.topo.df_hosts);
+const Op* find_op(std::string_view name) {
+  for (const Op& op : kOps) {
+    if (op.name == name) return &op;
   }
-  r.mc_samples = obj.integer("mc_samples", 0);
-  r.seed = obj.unsigned64("seed", r.seed);
-  r.mc_sigma_L = obj.number("mc_sigma_L", 0.0);
-  r.mc_sigma_o = obj.number("mc_sigma_o", 0.0);
-  r.mc_sigma_G = obj.number("mc_sigma_G", 0.0);
-  r.mc_edge_sigma = obj.number("mc_edge_sigma", 0.0);
-  r.mc_edge_bias = obj.number("mc_edge_bias", 0.0);
-  r.probe = obj.string("probe", "");
-  if (r.probe.empty() && (obj.has("probe_runs") || obj.has("noise_sigma"))) {
-    // Same orphan rule as the CLI: probe knobs without the probe are a
-    // mistake, not a no-op.
-    throw UsageError(
-        "probe options given without \"probe\" (want \"probe\": "
-        "\"emulator\")");
-  }
-  r.probe_runs = obj.integer("probe_runs", r.probe_runs);
-  r.noise_sigma = obj.number("noise_sigma", r.noise_sigma);
-  r.threads = obj.integer("threads", 0);
-  return r;
+  return nullptr;
 }
 
-TopoRequest parse_topo(const Obj& obj) {
-  obj.allow({"op", "app", "l_wire_ns", "d_switch_ns", "ft_radix",
-             "df_groups", "df_routers", "df_hosts"});
-  TopoRequest r;
-  r.app = parse_app(obj);
-  r.l_wire = obj.number("l_wire_ns", r.l_wire);
-  r.d_switch = obj.number("d_switch_ns", r.d_switch);
-  r.ft_radix = obj.integer("ft_radix", r.ft_radix);
-  r.df_groups = obj.integer("df_groups", r.df_groups);
-  r.df_routers = obj.integer("df_routers", r.df_routers);
-  r.df_hosts = obj.integer("df_hosts", r.df_hosts);
-  return r;
-}
-
-PlaceRequest parse_place(const Obj& obj) {
-  obj.allow({"op", "app", "l_wire_ns", "d_switch_ns", "ft_radix",
-             "max_rounds"});
-  PlaceRequest r;
-  r.app = parse_app(obj);
-  r.l_wire = obj.number("l_wire_ns", r.l_wire);
-  r.d_switch = obj.number("d_switch_ns", r.d_switch);
-  r.ft_radix = obj.integer("ft_radix", r.ft_radix);
-  r.max_rounds = obj.integer("max_rounds", r.max_rounds);
-  return r;
-}
-
-}  // namespace
-
-const char* op_name(const Request& req) {
-  struct Visitor {
-    const char* operator()(const AnalyzeRequest&) const { return "analyze"; }
-    const char* operator()(const SweepRequest&) const { return "sweep"; }
-    const char* operator()(const CampaignRequest&) const { return "campaign"; }
-    const char* operator()(const McRequest&) const { return "mc"; }
-    const char* operator()(const TopoRequest&) const { return "topo"; }
-    const char* operator()(const PlaceRequest&) const { return "place"; }
-  };
-  return std::visit(Visitor{}, req);
-}
-
-std::string to_json(const Request& req) {
-  struct Visitor {
-    std::string operator()(const AnalyzeRequest& r) const {
-      return json_of(r, "analyze");
-    }
-    std::string operator()(const SweepRequest& r) const {
-      // Sweep shares analyze's shape; only the op tag differs.
-      const AnalyzeRequest alias{r.app, r.grid, r.threads};
-      return json_of(alias, "sweep");
-    }
-    std::string operator()(const CampaignRequest& r) const {
-      return json_of(r);
-    }
-    std::string operator()(const McRequest& r) const { return json_of(r); }
-    std::string operator()(const TopoRequest& r) const {
-      return json_of(r);
-    }
-    std::string operator()(const PlaceRequest& r) const {
-      return json_of(r);
-    }
-  };
-  return std::visit(Visitor{}, req);
-}
-
-namespace {
-
-Request dispatch_op(const std::string& name, const Obj& obj) {
-  if (name == "analyze") return parse_analyze_like<AnalyzeRequest>(obj);
-  if (name == "sweep") return parse_analyze_like<SweepRequest>(obj);
-  if (name == "campaign") return parse_campaign(obj);
-  if (name == "mc") return parse_mc(obj);
-  if (name == "topo") return parse_topo(obj);
-  if (name == "place") return parse_place(obj);
-  throw UsageError("json: unknown op \"" + name +
+const Op& op_or_throw(std::string_view name) {
+  if (const Op* op = find_op(name)) return *op;
+  throw UsageError("json: unknown op \"" + std::string(name) +
                    "\" (want analyze, sweep, campaign, mc, topo, or place)");
 }
 
+void* owner(Request& req) {
+  return std::visit([](auto& r) -> void* { return &r; }, req);
+}
+
+Request parse_as(const Op& op, const JsonValue& doc) {
+  Request req = op.make();
+  read_json(op.fields, owner(req), doc, "request", "op");
+  return req;
+}
+
 }  // namespace
+
+const char* op_name(const Request& req) { return kOps[req.index()].name; }
+
+std::string to_json(const Request& req) {
+  std::string out = "{\"op\": \"";
+  out += op_name(req);
+  out += "\", ";
+  const void* r = std::visit([](const auto& x) -> const void* { return &x; },
+                             req);
+  write_json(out, kOps[req.index()].fields, r);
+  out += '}';
+  return out;
+}
 
 Request parse_request(std::string_view json) {
   const JsonValue doc = JsonValue::parse(json);
-  const Obj obj(doc, "request");
+  (void)doc.members("json: request");  // raises if not an object
   const JsonValue* op = doc.find("op");
   if (!op) throw UsageError("json: request is missing \"op\"");
-  return dispatch_op(op->as_string("request.op"), obj);
+  return parse_as(op_or_throw(op->as_string("json: request.op")), doc);
 }
 
 Request parse_request_for_op(std::string_view op, std::string_view json) {
   const JsonValue doc = JsonValue::parse(json);
-  const Obj obj(doc, "request");
-  const std::string name(op);
+  (void)doc.members("json: request");
   if (const JsonValue* tag = doc.find("op")) {
-    const std::string spelled = tag->as_string("request.op");
-    if (spelled != name) {
+    const std::string spelled = tag->as_string("json: request.op");
+    if (spelled != op) {
       throw UsageError("json: request \"op\" is \"" + spelled +
-                       "\" but this endpoint is \"" + name + "\"");
+                       "\" but this endpoint is \"" + std::string(op) + "\"");
     }
   }
-  return dispatch_op(name, obj);
+  return parse_as(op_or_throw(op), doc);
+}
+
+std::span<const Field> request_fields(std::string_view op) {
+  const Op* found = find_op(op);
+  return found ? found->fields : std::span<const Field>{};
+}
+
+Request request_from_flags(std::string_view op,
+                           const std::vector<std::string>& args) {
+  const Op& found = op_or_throw(op);
+  Request req = found.make();
+  read_flags(found.fields, owner(req), args);
+  return req;
+}
+
+std::string request_flags_help(std::string_view op) {
+  const Op& found = op_or_throw(op);
+  Request defaults = found.make();
+  return flags_help(found.fields, owner(defaults));
 }
 
 }  // namespace llamp::api

@@ -2,11 +2,13 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <variant>
 #include <vector>
 
+#include "api/fields.hpp"
 #include "core/campaign.hpp"
 
 namespace llamp::api {
@@ -23,6 +25,10 @@ namespace llamp::api {
 /// units (`L_ns`, `dl_max_us`), sizes in `_bytes`.  Unknown fields are
 /// rejected at parse time — the JSON surface takes the CLI's stance that a
 /// typo must be an error, never a silently defaulted knob.
+///
+/// Each request type is declared once more, as a field table (api/fields)
+/// in request.cpp: the JSON codec, the `llamp <op>` flags and their --help
+/// all come from it, so a new field is one struct member plus one row.
 
 /// The proxy-application/LogGPS block shared by every single-scenario
 /// request (the CLI's common options).
@@ -139,13 +145,26 @@ std::string to_json(const Request& req);
 
 /// Parse one JSON request object: `{"op": "analyze", ...}`.  Field order
 /// is free; missing fields take the request type's defaults; unknown
-/// fields, type mismatches, and non-integral integer fields throw
-/// UsageError.
+/// fields, type mismatches, non-integral integer fields, present but empty
+/// values of fields where empty means absent (`dist_X`, `probe`, the
+/// `X_list` axes), and probe knobs without `probe` throw UsageError.
 Request parse_request(std::string_view json);
 
 /// Parse a request whose op is fixed by the caller (an HTTP route: the
 /// path names the op, so the body's "op" field is optional).  A present
 /// "op" must match `op`; everything else is `parse_request` semantics.
 Request parse_request_for_op(std::string_view op, std::string_view json);
+
+/// The field table of op `op`; empty for an unknown op.
+std::span<const Field> request_fields(std::string_view op);
+
+/// The `llamp <op>` surface: the request that `--flag[=value]` tokens
+/// describe.  Same rules as the JSON parser (it is the same reader); a
+/// stray positional or an unknown flag is a UsageError.
+Request request_from_flags(std::string_view op,
+                           const std::vector<std::string>& args);
+
+/// The --help lines of op's flags, defaults included.
+std::string request_flags_help(std::string_view op);
 
 }  // namespace llamp::api

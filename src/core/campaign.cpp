@@ -24,30 +24,30 @@ bool known_topology(const std::string& name) {
 }
 
 void validate_scenario(const Scenario& s) {
-  if (s.app.empty()) throw UsageError("campaign: scenario with empty app");
+  if (s.app.empty()) throw UsageError("scenario with empty app");
   if (s.ranks < 1) {
-    throw UsageError(strformat("campaign: need ranks >= 1 (got %d)", s.ranks));
+    throw UsageError(strformat("need ranks >= 1 (got %d)", s.ranks));
   }
   if (!(s.scale > 0.0) || !std::isfinite(s.scale)) {
     throw UsageError(
-        strformat("campaign: need finite scale > 0 (got %g)", s.scale));
+        strformat("need finite scale > 0 (got %g)", s.scale));
   }
   if (!known_topology(s.topology)) {
-    throw UsageError("campaign: unknown topology '" + s.topology +
+    throw UsageError("unknown topology '" + s.topology +
                      "' (want none, fat-tree, or dragonfly)");
   }
-  if (s.delta_Ls.empty()) throw UsageError("campaign: empty ΔL grid");
+  if (s.delta_Ls.empty()) throw UsageError("empty ΔL grid");
   for (const TimeNs d : s.delta_Ls) {
     if (!(d >= 0.0) || !std::isfinite(d)) {
       throw UsageError(
-          strformat("campaign: ΔL grid values must be finite and >= 0 "
+          strformat("ΔL grid values must be finite and >= 0 "
                     "(got %g)", d));
     }
   }
   for (const double pct : s.band_percents) {
     if (!(pct >= 0.0)) {
       throw UsageError(
-          strformat("campaign: tolerance band percent must be >= 0 (got %g)",
+          strformat("tolerance band percent must be >= 0 (got %g)",
                     pct));
     }
   }
@@ -57,7 +57,7 @@ void validate_scenario(const Scenario& s) {
   try {
     s.params.validate();
   } catch (const Error& e) {
-    throw UsageError(strformat("campaign: config '%s' invalid: %s",
+    throw UsageError(strformat("config '%s' invalid: %s",
                                s.config.c_str(), e.what()));
   }
 }
@@ -94,7 +94,7 @@ std::unique_ptr<topo::Topology> make_topology(const std::string& name,
     return std::make_unique<topo::Dragonfly>(topo.df_groups, topo.df_routers,
                                              topo.df_hosts);
   } catch (const Error& e) {
-    throw UsageError(strformat("campaign: bad %s shape: %s", name.c_str(),
+    throw UsageError(strformat("bad %s shape: %s", name.c_str(),
                                e.what()));
   }
 }
@@ -106,7 +106,7 @@ void validate_topology(const Scenario& s, const TopologyOptions& topo) {
   if (s.topology == "none") return;
   const auto t = make_topology(s.topology, topo);
   if (t->nnodes() < s.ranks) {
-    throw UsageError(strformat("campaign: %s has only %d nodes for %d ranks",
+    throw UsageError(strformat("%s has only %d nodes for %d ranks",
                                t->name().c_str(), t->nnodes(), s.ranks));
   }
 }
@@ -137,7 +137,7 @@ ScenarioSpace make_space(const Scenario& s, const TopologyOptions& topo) {
 void validate_mc(const McAxis& mc, const std::vector<Scenario>& scenarios) {
   if (mc.samples < 0) {
     throw UsageError(
-        strformat("campaign: need mc samples >= 0 (got %d)", mc.samples));
+        strformat("need mc samples >= 0 (got %d)", mc.samples));
   }
   // Knob well-formedness is checked whatever the sample count: a negative
   // sigma must be a usage error even when the axis is off, never a silent
@@ -153,7 +153,7 @@ void validate_mc(const McAxis& mc, const std::vector<Scenario>& scenarios) {
     if (mc.sigma_L != 0.0 || mc.sigma_o != 0.0 || mc.sigma_G != 0.0 ||
         !mc.noise.degenerate()) {
       throw UsageError(
-          "campaign: mc jitter configured but mc samples == 0 (set "
+          "mc jitter configured but mc samples == 0 (set "
           "--mc-samples)");
     }
     return;
@@ -161,7 +161,7 @@ void validate_mc(const McAxis& mc, const std::vector<Scenario>& scenarios) {
   for (const Scenario& s : scenarios) {
     if (s.topology != "none") {
       throw UsageError(
-          "campaign: the mc axis requires topology 'none' (got '" +
+          "the mc axis requires topology 'none' (got '" +
           s.topology + "')");
     }
   }
@@ -300,7 +300,7 @@ Campaign::ScenarioResult eval_scenario(const Scenario& s,
     const auto values = probe(s, g);
     if (values.size() != res.points.size()) {
       throw Error(strformat(
-          "campaign: probe returned %zu values for %zu ΔL points",
+          "probe returned %zu values for %zu ΔL points",
           values.size(), res.points.size()));
     }
     for (std::size_t i = 0; i < values.size(); ++i) {
@@ -345,11 +345,11 @@ void apply_table2_overhead(loggops::Params& p, const std::string& app,
 
 Campaign::Campaign(const CampaignSpec& spec)
     : topo_(spec.topo), mc_(spec.mc), threads_(spec.threads) {
-  if (spec.apps.empty()) throw UsageError("campaign: empty app list");
-  if (spec.ranks.empty()) throw UsageError("campaign: empty ranks list");
-  if (spec.scales.empty()) throw UsageError("campaign: empty scales list");
+  if (spec.apps.empty()) throw UsageError("empty app list");
+  if (spec.ranks.empty()) throw UsageError("empty ranks list");
+  if (spec.scales.empty()) throw UsageError("empty scales list");
   if (spec.topologies.empty()) {
-    throw UsageError("campaign: empty topology list");
+    throw UsageError("empty topology list");
   }
   std::vector<ConfigVariant> configs;
   for (const ConfigVariant& cfg : spec.configs) {
@@ -373,7 +373,7 @@ Campaign::Campaign(const CampaignSpec& spec)
     for (const ConfigVariant& cfg : configs) names.push_back(cfg.name);
     if (dedup(names).size() != names.size()) {
       throw UsageError(
-          "campaign: duplicate config variant names for distinct parameters");
+          "duplicate config variant names for distinct parameters");
     }
   }
   const auto apps_axis = dedup(spec.apps);
@@ -387,7 +387,7 @@ Campaign::Campaign(const CampaignSpec& spec)
     for (const int want : spec.ranks) {
       if (want < 1) {
         throw UsageError(
-            strformat("campaign: need ranks >= 1 (got %d)", want));
+            strformat("need ranks >= 1 (got %d)", want));
       }
       ranks.push_back(apps::supported_ranks(app, want));
     }
@@ -421,7 +421,7 @@ Campaign::Campaign(std::vector<Scenario> scenarios, TopologyOptions topo,
                    int threads, McAxis mc)
     : scenarios_(std::move(scenarios)), topo_(topo), mc_(mc),
       threads_(threads) {
-  if (scenarios_.empty()) throw UsageError("campaign: empty scenario list");
+  if (scenarios_.empty()) throw UsageError("empty scenario list");
   for (const Scenario& s : scenarios_) {
     validate_scenario(s);
     validate_topology(s, topo_);

@@ -46,23 +46,23 @@ struct WorkerScratch {
 
 void McSpec::validate() const {
   if (samples < 1) {
-    throw UsageError(strformat("mc: need samples >= 1 (got %d)", samples));
+    throw UsageError(strformat("need samples >= 1 (got %d)", samples));
   }
   L.validate("L");
   o.validate("o");
   G.validate("G");
   noise.validate();
-  if (delta_Ls.empty()) throw UsageError("mc: empty ΔL grid");
+  if (delta_Ls.empty()) throw UsageError("empty ΔL grid");
   for (const TimeNs d : delta_Ls) {
     if (!(d >= 0.0) || !std::isfinite(d)) {
       throw UsageError(strformat(
-          "mc: ΔL grid values must be finite and >= 0 (got %g)", d));
+          "ΔL grid values must be finite and >= 0 (got %g)", d));
     }
   }
   for (const double pct : band_percents) {
     if (!(pct >= 0.0) || !std::isfinite(pct)) {
       throw UsageError(strformat(
-          "mc: tolerance band percent must be finite and >= 0 (got %g)",
+          "tolerance band percent must be finite and >= 0 (got %g)",
           pct));
     }
   }

@@ -25,7 +25,7 @@ std::string kind_name(JsonValue::Kind k) {
 
 [[noreturn]] void kind_error(const std::string& what, const char* want,
                              JsonValue::Kind got) {
-  throw UsageError(strformat("json: %s: expected %s, got %s", what.c_str(),
+  throw UsageError(strformat("%s: expected %s, got %s", what.c_str(),
                              want, kind_name(got).c_str()));
 }
 
@@ -260,6 +260,43 @@ JsonValue JsonValue::parse(std::string_view text) {
   return JsonParser(text).parse_document();
 }
 
+JsonValue JsonValue::of_bool(bool b) {
+  JsonValue v;
+  v.kind_ = Kind::kBool;
+  v.bool_ = b;
+  return v;
+}
+
+JsonValue JsonValue::of_number(double n, std::string token) {
+  JsonValue v;
+  v.kind_ = Kind::kNumber;
+  v.number_ = n;
+  v.string_ = std::move(token);
+  return v;
+}
+
+JsonValue JsonValue::of_string(std::string s) {
+  JsonValue v;
+  v.kind_ = Kind::kString;
+  v.string_ = std::move(s);
+  return v;
+}
+
+JsonValue JsonValue::of_array(std::vector<JsonValue> items) {
+  JsonValue v;
+  v.kind_ = Kind::kArray;
+  v.array_ = std::move(items);
+  return v;
+}
+
+JsonValue JsonValue::of_object(
+    std::vector<std::pair<std::string, JsonValue>> members) {
+  JsonValue v;
+  v.kind_ = Kind::kObject;
+  v.object_ = std::move(members);
+  return v;
+}
+
 bool JsonValue::as_bool(const std::string& what) const {
   if (kind_ != Kind::kBool) kind_error(what, "bool", kind_);
   return bool_;
@@ -274,7 +311,7 @@ std::uint64_t JsonValue::as_unsigned(const std::string& what) const {
   if (kind_ != Kind::kNumber) kind_error(what, "number", kind_);
   const auto bad = [&]() -> std::uint64_t {
     throw UsageError(strformat(
-        "json: %s: expected a nonnegative integer (got %s)", what.c_str(),
+        "%s: expected a nonnegative integer (got %s)", what.c_str(),
         string_.c_str()));
   };
   const bool plain_digits =

@@ -26,13 +26,24 @@ class JsonValue {
   /// error.  Throws UsageError with a byte offset on malformed input.
   static JsonValue parse(std::string_view text);
 
+  /// Values built in code (the CLI flag surface lexes flag text into the
+  /// document a request parser reads).  A number keeps its source `token`
+  /// for exact as_unsigned reads.
+  static JsonValue of_bool(bool b);
+  static JsonValue of_number(double v, std::string token);
+  static JsonValue of_string(std::string s);
+  static JsonValue of_array(std::vector<JsonValue> items);
+  static JsonValue of_object(
+      std::vector<std::pair<std::string, JsonValue>> members);
+
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
   bool is_object() const { return kind_ == Kind::kObject; }
   bool is_array() const { return kind_ == Kind::kArray; }
 
-  /// Typed accessors.  `what` names the field in error messages; a kind
-  /// mismatch is a UsageError ("field \"points\": expected number").
+  /// Typed accessors.  `what` names the field and prefixes every error
+  /// message; a kind mismatch is a UsageError ("<what>: expected number,
+  /// got string").
   bool as_bool(const std::string& what) const;
   double as_number(const std::string& what) const;
   /// Exact unsigned 64-bit read: a plain-digit token is parsed as an

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -45,26 +48,23 @@ api::AppSpec fancy_app() {
   return app;
 }
 
-TEST(ApiRequestJson, AnalyzeRoundTrip) {
+api::AnalyzeRequest fancy_analyze() {
   api::AnalyzeRequest req;
-  expect_round_trip(req);  // all defaults
   req.app = fancy_app();
   req.grid = {42.5, 7};
   req.threads = 3;
-  expect_round_trip(req);
+  return req;
 }
 
-TEST(ApiRequestJson, SweepRoundTrip) {
+api::SweepRequest fancy_sweep() {
   api::SweepRequest req;
-  expect_round_trip(req);
   req.app = fancy_app();
   req.grid = {30.0, 4};
-  expect_round_trip(req);
+  return req;
 }
 
-TEST(ApiRequestJson, McRoundTrip) {
+api::McRequest fancy_mc() {
   api::McRequest req;
-  expect_round_trip(req);
   req.app = fancy_app();
   req.grid = {20.0, 3};
   req.samples = 64;
@@ -75,12 +75,11 @@ TEST(ApiRequestJson, McRoundTrip) {
   req.edge_bias = 0.001;
   req.bands = {1.0, 2.5};
   req.threads = 2;
-  expect_round_trip(req);
+  return req;
 }
 
-TEST(ApiRequestJson, CampaignRoundTrip) {
+api::CampaignRequest fancy_campaign() {
   api::CampaignRequest req;
-  expect_round_trip(req);
   req.apps = {"lulesh", "hpcg"};
   req.ranks = {8, 27};
   req.scales = {0.02, 0.05};
@@ -98,26 +97,149 @@ TEST(ApiRequestJson, CampaignRoundTrip) {
   req.probe_runs = 2;
   req.noise_sigma = 0.004;
   req.threads = 4;
-  expect_round_trip(req);
+  return req;
 }
 
-TEST(ApiRequestJson, TopoRoundTrip) {
+api::TopoRequest fancy_topo() {
   api::TopoRequest req;
-  expect_round_trip(req);
   req.app = fancy_app();
   req.l_wire = 300.0;
   req.d_switch = 100.0;
   req.ft_radix = 16;
   req.df_groups = 4;
-  expect_round_trip(req);
+  return req;
+}
+
+api::PlaceRequest fancy_place() {
+  api::PlaceRequest req;
+  req.app = fancy_app();
+  req.max_rounds = 16;
+  return req;
+}
+
+TEST(ApiRequestJson, AnalyzeRoundTrip) {
+  expect_round_trip(api::AnalyzeRequest{});  // all defaults
+  expect_round_trip(fancy_analyze());
+}
+
+TEST(ApiRequestJson, SweepRoundTrip) {
+  expect_round_trip(api::SweepRequest{});
+  expect_round_trip(fancy_sweep());
+}
+
+TEST(ApiRequestJson, McRoundTrip) {
+  expect_round_trip(api::McRequest{});
+  expect_round_trip(fancy_mc());
+}
+
+TEST(ApiRequestJson, CampaignRoundTrip) {
+  expect_round_trip(api::CampaignRequest{});
+  expect_round_trip(fancy_campaign());
+}
+
+TEST(ApiRequestJson, TopoRoundTrip) {
+  expect_round_trip(api::TopoRequest{});
+  expect_round_trip(fancy_topo());
 }
 
 TEST(ApiRequestJson, PlaceRoundTrip) {
-  api::PlaceRequest req;
-  expect_round_trip(req);
-  req.app = fancy_app();
-  req.max_rounds = 16;
-  expect_round_trip(req);
+  expect_round_trip(api::PlaceRequest{});
+  expect_round_trip(fancy_place());
+}
+
+// The canonical form is a wire format (batch lines, serve bodies), so its
+// bytes are pinned, not only its idempotence.
+TEST(ApiRequestJson, CanonicalBytesArePinned) {
+  const std::string app_defaults =
+      "\"app\": {\"name\": \"lulesh\", \"ranks\": 8, \"scale\": 0.25, "
+      "\"net\": \"cscs\"}";
+  const std::string fancy =
+      "\"app\": {\"name\": \"hpcg\", \"ranks\": 27, \"scale\": 0.05, "
+      "\"net\": \"daint\", \"L_ns\": 2500, \"o_ns\": 4321.5, "
+      "\"G_ns_per_byte\": 0.021, \"S_bytes\": 1024}";
+  const std::string grid_defaults =
+      "\"grid\": {\"dl_max_us\": 100, \"points\": 11}";
+  const std::vector<std::pair<api::Request, std::string>> cases = {
+      {api::AnalyzeRequest{},
+       "{\"op\": \"analyze\", " + app_defaults + ", " + grid_defaults +
+           ", \"threads\": 0}"},
+      {api::SweepRequest{},
+       "{\"op\": \"sweep\", " + app_defaults + ", " + grid_defaults +
+           ", \"threads\": 0}"},
+      {api::CampaignRequest{},
+       "{\"op\": \"campaign\", \"apps\": [\"lulesh\"], \"ranks\": [8], "
+       "\"scales\": [0.25], \"topologies\": [\"none\"], \"nets\": "
+       "[\"cscs\"], " +
+           grid_defaults +
+           ", \"topo\": {\"l_wire_ns\": 274, \"d_switch_ns\": 108, "
+           "\"ft_radix\": 8, \"df_groups\": 8, \"df_routers\": 4, "
+           "\"df_hosts\": 8}, \"mc_samples\": 0, \"seed\": 42, "
+           "\"mc_sigma_L\": 0, \"mc_sigma_o\": 0, \"mc_sigma_G\": 0, "
+           "\"mc_edge_sigma\": 0, \"mc_edge_bias\": 0, \"threads\": 0}"},
+      {api::McRequest{},
+       "{\"op\": \"mc\", " + app_defaults + ", " + grid_defaults +
+           ", \"samples\": 256, \"seed\": 42, \"sigma_L\": 0, "
+           "\"sigma_o\": 0, \"sigma_G\": 0, \"edge_sigma\": 0, "
+           "\"edge_bias\": 0, \"bands\": [1, 2, 5], \"threads\": 0}"},
+      {api::TopoRequest{},
+       "{\"op\": \"topo\", " + app_defaults +
+           ", \"l_wire_ns\": 274, \"d_switch_ns\": 108, \"ft_radix\": 8, "
+           "\"df_groups\": 8, \"df_routers\": 4, \"df_hosts\": 8}"},
+      {api::PlaceRequest{},
+       "{\"op\": \"place\", " + app_defaults +
+           ", \"l_wire_ns\": 274, \"d_switch_ns\": 108, \"ft_radix\": 8, "
+           "\"max_rounds\": 64}"},
+      {fancy_analyze(),
+       "{\"op\": \"analyze\", " + fancy +
+           ", \"grid\": {\"dl_max_us\": 42.5, \"points\": 7}, "
+           "\"threads\": 3}"},
+      {fancy_sweep(),
+       "{\"op\": \"sweep\", " + fancy +
+           ", \"grid\": {\"dl_max_us\": 30, \"points\": 4}, "
+           "\"threads\": 0}"},
+      {fancy_mc(),
+       "{\"op\": \"mc\", " + fancy +
+           ", \"grid\": {\"dl_max_us\": 20, \"points\": 3}, "
+           "\"samples\": 64, \"seed\": 7, \"dist_L\": "
+           "\"uniform:2500,3500\", \"sigma_L\": 0, \"sigma_o\": 0.02, "
+           "\"sigma_G\": 0, \"edge_sigma\": 0.003, \"edge_bias\": 0.001, "
+           "\"bands\": [1, 2.5], \"threads\": 2}"},
+      {fancy_campaign(),
+       "{\"op\": \"campaign\", \"apps\": [\"lulesh\", \"hpcg\"], "
+       "\"ranks\": [8, 27], \"scales\": [0.02, 0.05], \"topologies\": "
+       "[\"none\", \"fat-tree\"], \"nets\": [\"cscs\", \"daint\"], "
+       "\"L_list\": [\"5000\", \"1e4\"], \"o_list\": [\"4000\"], "
+       "\"S_bytes\": 2048, \"grid\": {\"dl_max_us\": 20, \"points\": 3}, "
+       "\"topo\": {\"l_wire_ns\": 274, \"d_switch_ns\": 108, "
+       "\"ft_radix\": 16, \"df_groups\": 8, \"df_routers\": 4, "
+       "\"df_hosts\": 8}, \"mc_samples\": 8, \"seed\": 3, "
+       "\"mc_sigma_L\": 0.05, \"mc_sigma_o\": 0, \"mc_sigma_G\": 0, "
+       "\"mc_edge_sigma\": 0, \"mc_edge_bias\": 0, \"probe\": "
+       "\"emulator\", \"probe_runs\": 2, \"noise_sigma\": 0.004, "
+       "\"threads\": 4}"},
+      {fancy_topo(),
+       "{\"op\": \"topo\", " + fancy +
+           ", \"l_wire_ns\": 300, \"d_switch_ns\": 100, \"ft_radix\": 16, "
+           "\"df_groups\": 4, \"df_routers\": 4, \"df_hosts\": 8}"},
+      {fancy_place(),
+       "{\"op\": \"place\", " + fancy +
+           ", \"l_wire_ns\": 274, \"d_switch_ns\": 108, \"ft_radix\": 8, "
+           "\"max_rounds\": 16}"},
+  };
+  for (const auto& [req, json] : cases) {
+    EXPECT_EQ(api::to_json(req), json);
+  }
+}
+
+TEST(ApiRequestJson, ExampleBatchFileParses) {
+  std::ifstream in(LLAMP_EXAMPLES_DIR "/batch_requests.jsonl");
+  ASSERT_TRUE(in);
+  std::size_t lines = 0;
+  for (std::string line; std::getline(in, line);) {
+    EXPECT_NO_THROW((void)api::parse_request(line)) << line;
+    ++lines;
+  }
+  EXPECT_GT(lines, 0u);
 }
 
 TEST(ApiRequestJson, ParseAppliesDefaults) {
@@ -133,7 +255,8 @@ TEST(ApiRequestJson, ParseAppliesDefaults) {
 }
 
 // The JSON surface takes the CLI's typo stance: unknown fields, wrong
-// types, malformed documents, and orphaned probe knobs are usage errors.
+// types, malformed documents, orphaned probe knobs, and present but empty
+// values of fields whose empty value means "absent" are usage errors.
 TEST(ApiRequestJson, RejectsMalformedRequests) {
   const std::vector<std::string> bad = {
       "",
@@ -148,6 +271,12 @@ TEST(ApiRequestJson, RejectsMalformedRequests) {
       "{\"op\": \"analyze\", \"grid\": {\"points\": 2.5}}",
       "{\"op\": \"mc\", \"seed\": -1}",
       "{\"op\": \"mc\", \"dist_L\": \"\"}",
+      "{\"op\": \"mc\", \"dist_o\": \"\"}",
+      "{\"op\": \"mc\", \"dist_G\": \"\"}",
+      "{\"op\": \"campaign\", \"probe\": \"\"}",
+      "{\"op\": \"campaign\", \"L_list\": []}",
+      "{\"op\": \"campaign\", \"o_list\": []}",
+      "{\"op\": \"campaign\", \"G_list\": []}",
       "{\"op\": \"analyze\", \"app\": {\"ranks\": 1e300}}",
       "{\"op\": \"campaign\", \"probe_runs\": 2}",
       "{\"op\": \"analyze\"} trailing",
@@ -326,6 +455,162 @@ TEST(ApiCliEquivalence, Place) {
       run_cli({"place", "--app=icon", "--ranks=8", "--scale=0.05"});
   ASSERT_EQ(cli.code, 0) << cli.err;
   EXPECT_EQ(cli.out, rendered(res, core::OutputFormat::kTable));
+}
+
+// ---------------------------------------------------------------------------
+// One field, two spellings: every request field as an (op, CLI flag, JSON
+// key) triple, written out literally.  The flag and the key must set the
+// field the same way, the op's --help must list the flag, and the triples
+// must be exactly the rows of the op's field table, so a dropped, renamed
+// or added field fails here.
+// ---------------------------------------------------------------------------
+
+struct Spelling {
+  const char* op;
+  const char* flag;
+  const char* key;  ///< JSON key path; '.' separates nested objects
+};
+
+constexpr Spelling kSpellings[] = {
+    {"analyze", "app", "app.name"},          {"analyze", "ranks", "app.ranks"},
+    {"analyze", "scale", "app.scale"},       {"analyze", "net", "app.net"},
+    {"analyze", "L", "app.L_ns"},            {"analyze", "o", "app.o_ns"},
+    {"analyze", "G", "app.G_ns_per_byte"},   {"analyze", "S", "app.S_bytes"},
+    {"analyze", "dl-max-us", "grid.dl_max_us"},
+    {"analyze", "points", "grid.points"},    {"analyze", "threads", "threads"},
+    {"sweep", "app", "app.name"},            {"sweep", "ranks", "app.ranks"},
+    {"sweep", "scale", "app.scale"},         {"sweep", "net", "app.net"},
+    {"sweep", "L", "app.L_ns"},              {"sweep", "o", "app.o_ns"},
+    {"sweep", "G", "app.G_ns_per_byte"},     {"sweep", "S", "app.S_bytes"},
+    {"sweep", "dl-max-us", "grid.dl_max_us"},
+    {"sweep", "points", "grid.points"},      {"sweep", "threads", "threads"},
+    {"mc", "app", "app.name"},               {"mc", "ranks", "app.ranks"},
+    {"mc", "scale", "app.scale"},            {"mc", "net", "app.net"},
+    {"mc", "L", "app.L_ns"},                 {"mc", "o", "app.o_ns"},
+    {"mc", "G", "app.G_ns_per_byte"},        {"mc", "S", "app.S_bytes"},
+    {"mc", "dl-max-us", "grid.dl_max_us"},   {"mc", "points", "grid.points"},
+    {"mc", "samples", "samples"},            {"mc", "seed", "seed"},
+    {"mc", "dist-L", "dist_L"},              {"mc", "dist-o", "dist_o"},
+    {"mc", "dist-G", "dist_G"},              {"mc", "sigma-L", "sigma_L"},
+    {"mc", "sigma-o", "sigma_o"},            {"mc", "sigma-G", "sigma_G"},
+    {"mc", "edge-sigma", "edge_sigma"},      {"mc", "edge-bias", "edge_bias"},
+    {"mc", "bands", "bands"},                {"mc", "threads", "threads"},
+    {"campaign", "apps", "apps"},            {"campaign", "ranks", "ranks"},
+    {"campaign", "scales", "scales"},        {"campaign", "topos", "topologies"},
+    {"campaign", "nets", "nets"},            {"campaign", "L-list", "L_list"},
+    {"campaign", "o-list", "o_list"},        {"campaign", "G-list", "G_list"},
+    {"campaign", "S", "S_bytes"},
+    {"campaign", "dl-max-us", "grid.dl_max_us"},
+    {"campaign", "points", "grid.points"},
+    {"campaign", "l-wire", "topo.l_wire_ns"},
+    {"campaign", "d-switch", "topo.d_switch_ns"},
+    {"campaign", "ft-radix", "topo.ft_radix"},
+    {"campaign", "df-groups", "topo.df_groups"},
+    {"campaign", "df-routers", "topo.df_routers"},
+    {"campaign", "df-hosts", "topo.df_hosts"},
+    {"campaign", "mc-samples", "mc_samples"},
+    {"campaign", "seed", "seed"},
+    {"campaign", "mc-sigma-L", "mc_sigma_L"},
+    {"campaign", "mc-sigma-o", "mc_sigma_o"},
+    {"campaign", "mc-sigma-G", "mc_sigma_G"},
+    {"campaign", "mc-edge-sigma", "mc_edge_sigma"},
+    {"campaign", "mc-edge-bias", "mc_edge_bias"},
+    {"campaign", "probe", "probe"},
+    {"campaign", "probe-runs", "probe_runs"},
+    {"campaign", "noise-sigma", "noise_sigma"},
+    {"campaign", "threads", "threads"},
+    {"topo", "app", "app.name"},             {"topo", "ranks", "app.ranks"},
+    {"topo", "scale", "app.scale"},          {"topo", "net", "app.net"},
+    {"topo", "L", "app.L_ns"},               {"topo", "o", "app.o_ns"},
+    {"topo", "G", "app.G_ns_per_byte"},      {"topo", "S", "app.S_bytes"},
+    {"topo", "l-wire", "l_wire_ns"},         {"topo", "d-switch", "d_switch_ns"},
+    {"topo", "ft-radix", "ft_radix"},        {"topo", "df-groups", "df_groups"},
+    {"topo", "df-routers", "df_routers"},    {"topo", "df-hosts", "df_hosts"},
+    {"place", "app", "app.name"},            {"place", "ranks", "app.ranks"},
+    {"place", "scale", "app.scale"},         {"place", "net", "app.net"},
+    {"place", "L", "app.L_ns"},              {"place", "o", "app.o_ns"},
+    {"place", "G", "app.G_ns_per_byte"},     {"place", "S", "app.S_bytes"},
+    {"place", "l-wire", "l_wire_ns"},        {"place", "d-switch", "d_switch_ns"},
+    {"place", "ft-radix", "ft_radix"},       {"place", "max-rounds", "max_rounds"},
+};
+
+/// (flag, key path) of every leaf row of a field table.
+void leaf_rows(std::span<const api::Field> rows, const std::string& prefix,
+               std::vector<std::pair<std::string, std::string>>& out) {
+  for (const api::Field& f : rows) {
+    if (f.kind == api::FieldKind::kBlock) {
+      leaf_rows(f.block, prefix + f.key + ".", out);
+    } else {
+      out.emplace_back(f.flag, prefix + f.key);
+    }
+  }
+}
+
+/// A non-default value of `kind`, as flag text and as JSON text.
+std::pair<std::string, std::string> sample_value(api::FieldKind kind) {
+  switch (kind) {
+    case api::FieldKind::kString: return {"x", "\"x\""};
+    case api::FieldKind::kDouble:
+    case api::FieldKind::kOptDouble: return {"0.5", "0.5"};
+    case api::FieldKind::kInts: return {"3,4", "[3, 4]"};
+    case api::FieldKind::kDoubles: return {"0.5,1.5", "[0.5, 1.5]"};
+    case api::FieldKind::kStrings: return {"a,b", "[\"a\", \"b\"]"};
+    default: return {"3", "3"};
+  }
+}
+
+/// `{"op": op, <path>: value}` with `path` expanded into nested objects.
+std::string json_with(const std::string& op, std::string path,
+                      const std::string& value) {
+  std::string out = "{\"op\": \"" + op + "\", ";
+  std::string close = "}";
+  for (auto dot = path.find('.'); dot != std::string::npos;
+       dot = path.find('.')) {
+    out += "\"" + path.substr(0, dot) + "\": {";
+    close += "}";
+    path.erase(0, dot + 1);
+  }
+  return out + "\"" + path + "\": " + value + close;
+}
+
+TEST(ApiFieldTable, FlagAndJsonKeySetEachFieldTheSameWay) {
+  for (const char* op : {"analyze", "sweep", "campaign", "mc", "topo",
+                         "place"}) {
+    std::vector<std::pair<std::string, std::string>> declared;
+    leaf_rows(api::request_fields(op), "", declared);
+    std::vector<std::pair<std::string, std::string>> listed;
+    for (const Spelling& s : kSpellings) {
+      if (std::string_view(s.op) == op) listed.emplace_back(s.flag, s.key);
+    }
+    std::sort(declared.begin(), declared.end());
+    std::sort(listed.begin(), listed.end());
+    EXPECT_EQ(declared, listed) << op;
+  }
+
+  for (const Spelling& s : kSpellings) {
+    const api::Field* f = api::find_flag(api::request_fields(s.op), s.flag);
+    ASSERT_NE(f, nullptr) << s.op << " --" << s.flag;
+    const auto [flag_text, json_text] = sample_value(f->kind);
+    std::vector<std::string> args = {"--" + std::string(s.flag) + "=" +
+                                     flag_text};
+    std::string json = json_with(s.op, s.key, json_text);
+    if (f->gate != nullptr) {  // probe knobs need the probe on both surfaces
+      args.push_back("--probe=x");
+      json.insert(json.size() - 1, ", \"probe\": \"x\"");
+    }
+    const std::string via_flag =
+        api::to_json(api::request_from_flags(s.op, args));
+    EXPECT_EQ(via_flag, api::to_json(api::parse_request(json)))
+        << s.op << " --" << s.flag;
+    EXPECT_NE(via_flag, api::to_json(api::request_from_flags(s.op, {})))
+        << s.op << " --" << s.flag << " left the request at its defaults";
+
+    const auto help = run_cli({s.op, "--help"});
+    EXPECT_EQ(help.code, 0);
+    EXPECT_NE(help.out.find("  --" + std::string(s.flag) + "="),
+              std::string::npos)
+        << s.op << " --help lacks --" << s.flag;
+  }
 }
 
 // ---------------------------------------------------------------------------

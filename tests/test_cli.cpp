@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lp/parametric.hpp"
@@ -277,6 +278,12 @@ TEST(CliGridEdgeCases, DegenerateGridsAreUsageErrors) {
     const auto r = run_cli(args);
     EXPECT_EQ(r.code, 2) << args[0] << ' ' << args[1];
     EXPECT_FALSE(r.err.empty());
+    // One prefix per message: the driver names the subcommand, the
+    // campaign engine's message must not repeat it.
+    if (std::string_view(args.back()) == "--topos=torus") {
+      EXPECT_TRUE(starts_with(r.err, "llamp campaign: unknown topology"))
+          << r.err;
+    }
   }
 }
 
