@@ -29,4 +29,10 @@ dir="$(dirname "$0")"
   --scales=0.02 --points=3 --dl-max-us=20 --format=json \
   > "$dir/campaign_grid.json.golden"
 
+"$llamp" mc --app=hpcg --ranks=8 --scale=0.05 --points=6 --dl-max-us=50 \
+  --samples=43 --sigma-L=0.1 --format=json > "$dir/mc_hpcg.json.golden"
+"$llamp" mc --app=hpcg --ranks=8 --scale=0.05 --points=6 --dl-max-us=50 \
+  --samples=43 --sigma-L=0.1 --edge-sigma=0.003 --format=json \
+  > "$dir/mc_hpcg_noise.json.golden"
+
 echo "regenerated $(ls "$dir"/*.golden | wc -l) golden files in $dir"

@@ -8,13 +8,13 @@
 #include "tools/cli_driver.hpp"
 
 // Golden-output wall for the llamp emitters: the exact bytes of
-// `llamp analyze`, `sweep`, and `campaign` in every format are pinned
-// against committed files, so a formatting regression fails CTest instead
-// of silently shifting bench output or downstream CSV/JSON consumers.
+// `llamp analyze`, `sweep`, `campaign` (every format) and `mc` (JSON) are
+// pinned against committed files, so a formatting regression fails CTest
+// instead of silently shifting bench output or downstream CSV/JSON
+// consumers.
 //
 // All invocations are pure LP analyses of seeded proxy traces — no wall
-// clock, no RNG beyond the seeded trace generators — so the bytes are
-// deterministic.  To regenerate after an *intentional* change:
+// clock, no RNG beyond seeded generators — so the bytes are deterministic.  To regenerate after an *intentional* change:
 //   tests/golden/regen.sh <path-to-llamp-binary>
 
 namespace llamp {
@@ -58,6 +58,16 @@ const std::vector<GoldenCase>& cases() {
        {"campaign", "--apps=lulesh,hpcg,milc", "--ranks=8,27",
         "--topos=none,fat-tree", "--scales=0.02", "--points=3",
         "--dl-max-us=20", "--format=json"}},
+      // Monte Carlo, 43 samples (two full lane groups and a ragged tail):
+      // L-only jitter takes the shared-solver fast path, edge noise the
+      // per-sample general path.
+      {"mc_hpcg.json.golden",
+       {"mc", "--app=hpcg", "--ranks=8", "--scale=0.05", "--points=6",
+        "--dl-max-us=50", "--samples=43", "--sigma-L=0.1", "--format=json"}},
+      {"mc_hpcg_noise.json.golden",
+       {"mc", "--app=hpcg", "--ranks=8", "--scale=0.05", "--points=6",
+        "--dl-max-us=50", "--samples=43", "--sigma-L=0.1",
+        "--edge-sigma=0.003", "--format=json"}},
   };
   return kCases;
 }
