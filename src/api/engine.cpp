@@ -316,6 +316,9 @@ Engine::Engine(Options opts)
   handles_.mc_lane_groups = metrics_.counter("mc.lane_groups");
   handles_.mc_lane_slots = metrics_.counter("mc.lane_slots");
   handles_.mc_lane_samples = metrics_.counter("mc.lane_samples");
+  handles_.mc_anchor_solves = metrics_.counter("mc.anchor_solves");
+  handles_.mc_replays = metrics_.counter("mc.replays");
+  handles_.mc_search_passes = metrics_.counter("mc.search_passes");
   handles_.pool_jobs = metrics_.counter("pool.jobs");
   handles_.pool_tasks = metrics_.counter("pool.tasks");
   handles_.pool_busy_ns = metrics_.gauge("pool.busy_ns");
@@ -506,6 +509,9 @@ McResult Engine::mc_impl(const McRequest& req) {
     handles_.mc_lane_slots.inc(groups * width);
     handles_.mc_lane_samples.inc(samples);
   }
+  handles_.mc_anchor_solves.inc(res.result.anchor_solves);
+  handles_.mc_replays.inc(res.result.replays);
+  handles_.mc_search_passes.inc(res.result.search_passes);
   return res;
 }
 

@@ -273,6 +273,9 @@ class Engine {
     obs::Counter mc_lane_groups;    ///< mc.lane_groups (sample groups)
     obs::Counter mc_lane_slots;     ///< mc.lane_slots (groups x width)
     obs::Counter mc_lane_samples;   ///< mc.lane_samples (occupied slots)
+    obs::Counter mc_anchor_solves;  ///< mc.anchor_solves (grid walks)
+    obs::Counter mc_replays;        ///< mc.replays (grid walks)
+    obs::Counter mc_search_passes;  ///< mc.search_passes (band searches)
     obs::Counter pool_jobs;         ///< pool.jobs (one per batch)
     obs::Counter pool_tasks;        ///< pool.tasks (one per batch request)
     obs::Gauge pool_busy_ns;        ///< pool.busy_ns (summed request time)

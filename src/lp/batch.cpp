@@ -124,7 +124,7 @@ void LoweredProblem::prepare_batch(BatchCursor& cur) const {
     cur.slope_.resize(rows);
   }
   const std::size_t cands =
-      static_cast<std::size_t>(max_in_degree_) * kBatchWidth;
+      static_cast<std::size_t>(layout_->max_in_degree) * kBatchWidth;
   if (cur.cand_val_.size() < cands) {
     cur.cand_val_.resize(cands);
     cur.cand_slope_.resize(cands);
@@ -140,6 +140,10 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
   double* const slope = cur.slope_.data();
   double* const cand_val = cur.cand_val_.data();
   double* const cand_slope = cur.cand_slope_.data();
+  const std::uint32_t* const in_off = layout_->in_off.data();
+  const std::uint32_t* const in_other = layout_->in_other.data();
+  const std::uint32_t* const in_edge = layout_->in_edge.data();
+  const std::vector<std::uint32_t>& sink_pos = layout_->sink_pos;
 
   // Per-lane movement bounds of the active parameter keeping every
   // max-argument selection valid (range variant only).
@@ -157,8 +161,8 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
   double es[W];  // lane slopes of that edge
 
   for (std::size_t i = 0; i < n; ++i) {  // topo position order
-    const std::uint32_t jlo = in_off_[i];
-    const std::uint32_t jhi = in_off_[i + 1];
+    const std::uint32_t jlo = in_off[i];
+    const std::uint32_t jhi = in_off[i + 1];
     const double vc = vertex_cost_topo_[i];
     double* const fi = finish + i * W;
     double* const si = slope + i * W;
@@ -172,9 +176,9 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
     }
     // First candidate selected unconditionally, exactly like the scalar
     // pass (whose seed short-circuited on best_edge == kNoEdge).
-    cost(jlo, in_edge_[jlo], xs, ec, es);
-    const double* fu = finish + static_cast<std::size_t>(in_other_[jlo]) * W;
-    const double* su = slope + static_cast<std::size_t>(in_other_[jlo]) * W;
+    cost(jlo, in_edge[jlo], xs, ec, es);
+    const double* fu = finish + static_cast<std::size_t>(in_other[jlo]) * W;
+    const double* su = slope + static_cast<std::size_t>(in_other[jlo]) * W;
     double bv[W];
     double bs[W];
     LLAMP_SIMD
@@ -201,9 +205,9 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
       nc = 1;
     }
     for (std::uint32_t j = jlo + 1; j < jhi; ++j) {
-      cost(j, in_edge_[j], xs, ec, es);
-      const double* fu2 = finish + static_cast<std::size_t>(in_other_[j]) * W;
-      const double* su2 = slope + static_cast<std::size_t>(in_other_[j]) * W;
+      cost(j, in_edge[j], xs, ec, es);
+      const double* fu2 = finish + static_cast<std::size_t>(in_other[j]) * W;
+      const double* su2 = slope + static_cast<std::size_t>(in_other[j]) * W;
       double* const cvr = cand_val + static_cast<std::size_t>(nc) * W;
       double* const csr = cand_slope + static_cast<std::size_t>(nc) * W;
       LLAMP_SIMD
@@ -252,7 +256,7 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
 
   // T = max over sinks in ascending vertex-id order; the first sink is
   // selected unconditionally (the scalar kNoEdge short-circuit).
-  const std::size_t s0 = sink_pos_[0];
+  const std::size_t s0 = sink_pos[0];
   double bsv[W];
   double bss[W];
   LLAMP_SIMD
@@ -260,9 +264,9 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
     bsv[l] = finish[s0 * W + l];
     bss[l] = slope[s0 * W + l];
   }
-  for (std::size_t k = 1; k < sink_pos_.size(); ++k) {
-    const double* fp = finish + static_cast<std::size_t>(sink_pos_[k]) * W;
-    const double* sp = slope + static_cast<std::size_t>(sink_pos_[k]) * W;
+  for (std::size_t k = 1; k < sink_pos.size(); ++k) {
+    const double* fp = finish + static_cast<std::size_t>(sink_pos[k]) * W;
+    const double* sp = slope + static_cast<std::size_t>(sink_pos[k]) * W;
     LLAMP_SIMD
     for (std::size_t l = 0; l < W; ++l) {
       const double be = value_eps(bsv[l]);
@@ -273,7 +277,7 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
     }
   }
   if constexpr (Range) {
-    for (const std::uint32_t pos : sink_pos_) {
+    for (const std::uint32_t pos : sink_pos) {
       const double* fp = finish + static_cast<std::size_t>(pos) * W;
       const double* sp = slope + static_cast<std::size_t>(pos) * W;
       LLAMP_SIMD
@@ -304,13 +308,13 @@ void LoweredProblem::solve_batch_impl(int active, const double* xs,
     throw LpError("parametric: active parameter out of range");
   }
   if (n == 0) return;
-  if (sink_pos_.empty()) throw LpError("graph has no sink vertex");
+  if (layout_->sink_pos.empty()) throw LpError("graph has no sink vertex");
   prepare_batch(cur);
 
   const auto run = [&](auto wc, std::size_t i) {
     constexpr std::size_t W = decltype(wc)::value;
     if (flat_) {
-      const std::size_t slots = in_edge_.size();
+      const std::size_t slots = layout_->in_edge.size();
       const FlatLaneCost<W> cost{
           flat_const_slot_.data() + static_cast<std::size_t>(active) * slots,
           flat_slope_slot_.data() + static_cast<std::size_t>(active) * slots};
@@ -365,55 +369,84 @@ void LoweredProblem::max_param_for_budget_from_batch(int k, const double* from,
   if (k < 0 || k >= num_params_) {
     throw LpError("tolerance: parameter out of range");
   }
+  if (cur.search_start_.size() < kBatchWidth) {
+    cur.search_start_.resize(kBatchWidth);
+  }
+  // One group at a time, so an infeasible lane throws only after every
+  // earlier group has finished — the scalar calls' order.
+  for (std::size_t g0 = 0; g0 < n; g0 += kBatchWidth) {
+    const std::size_t w = std::min(n - g0, kBatchWidth);
+    solve_batch_ranges(k, from + g0, w, cur, cur.search_start_.data());
+    max_param_for_budgets_from_batch(k, from + g0, cur.search_start_.data(),
+                                     w, budget + g0, 1, cur, out + g0);
+  }
+}
+
+std::size_t LoweredProblem::max_param_for_budgets_from_batch(
+    int k, const double* from, const BatchPoint* start, std::size_t n,
+    const double* budgets, std::size_t nb, BatchCursor& cur,
+    double* out) const {
+  if (k < 0 || k >= num_params_) {
+    throw LpError("tolerance: parameter out of range");
+  }
+  for (std::size_t q = 0; q < nb * n; ++q) {
+    const std::size_t i = q % n;
+    if (start[i].value > budgets[q] + value_eps(budgets[q])) {
+      throw LpError(strformat(
+          "tolerance: T(%g) = %g already exceeds budget %g", from[i],
+          start[i].value, budgets[q]));
+    }
+  }
   if (cur.search_x_.size() < kBatchWidth) {
     cur.search_x_.resize(kBatchWidth);
     cur.search_pts_.resize(kBatchWidth);
   }
-  // Lanes run the scalar bracketed-Newton iteration of
-  // max_param_for_budget_from() in lockstep: every per-lane decision below
-  // is a line-for-line transcription of the scalar body, and each round of
-  // surviving lanes is served by ONE ranged batch pass — so a group of
-  // kBatchWidth searches costs max-lane-iterations passes instead of
-  // sum-over-lanes scalar solves.  Finished lanes keep their last x and are
-  // re-evaluated harmlessly until the group drains.
-  for (std::size_t g0 = 0; g0 < n; g0 += kBatchWidth) {
-    const std::size_t w = std::min(n - g0, kBatchWidth);
+  // Each (budget, lane) pair is one search; consecutive pairs share a
+  // group of kBatchWidth lanes.  Lanes run the scalar bracketed-Newton
+  // iteration of budget_search() in lockstep: every per-lane decision
+  // below is a line-for-line transcription of the scalar body, starting
+  // from the caller's solve at `from`, and each later round of surviving
+  // lanes is served by ONE ranged batch pass — so a group costs
+  // max-lane-iterations passes instead of sum-over-lanes scalar solves.
+  // Finished lanes keep their last x and are re-evaluated harmlessly until
+  // the group drains.
+  std::size_t passes = 0;
+  for (std::size_t g0 = 0; g0 < nb * n; g0 += kBatchWidth) {
+    const std::size_t w = std::min(nb * n - g0, kBatchWidth);
     double* const xs = cur.search_x_.data();
     BatchPoint* const pts = cur.search_pts_.data();
+    double lane_from[kBatchWidth];
+    double lane_budget[kBatchWidth];
     double blo[kBatchWidth];
     double bhi[kBatchWidth];
     double eps[kBatchWidth];
     double res[kBatchWidth];
     bool done[kBatchWidth];
     for (std::size_t l = 0; l < w; ++l) {
-      xs[l] = from[g0 + l];
+      const std::size_t i = (g0 + l) % n;
+      lane_from[l] = from[i];
+      lane_budget[l] = budgets[g0 + l];
+      pts[l] = start[i];
+      xs[l] = lane_from[l];
       blo[l] = xs[l];     // T(blo) <= budget
       bhi[l] = kInfD;     // T(bhi) > budget (once finite)
-      eps[l] = std::max(1e-6, std::fabs(budget[g0 + l]) * 1e-12);
+      eps[l] = std::max(1e-6, std::fabs(lane_budget[l]) * 1e-12);
       done[l] = false;
-    }
-    solve_batch_ranges(k, xs, w, cur, pts);
-    for (std::size_t l = 0; l < w; ++l) {
-      if (pts[l].value > budget[g0 + l] + value_eps(budget[g0 + l])) {
-        throw LpError(
-            strformat("tolerance: T(%g) = %g already exceeds budget %g",
-                      xs[l], pts[l].value, budget[g0 + l]));
-      }
     }
     std::size_t remaining = w;
     for (int iter = 0; iter < 512 && remaining > 0; ++iter) {
       for (std::size_t l = 0; l < w; ++l) {
         if (done[l]) continue;
         const double slope = pts[l].slope;
-        const bool below =
-            pts[l].value <= budget[g0 + l] + value_eps(budget[g0 + l]);
+        const double budget = lane_budget[l];
+        const bool below = pts[l].value <= budget + value_eps(budget);
         if (below) {
           blo[l] = std::max(blo[l], xs[l]);
           double proposal;
           if (slope > 1e-12) {
-            proposal = xs[l] + (budget[g0 + l] - pts[l].value) / slope;
+            proposal = xs[l] + (budget - pts[l].value) / slope;
             if (proposal <= pts[l].hi + eps[l]) {
-              res[l] = std::max(proposal, from[g0 + l]);
+              res[l] = std::max(proposal, lane_from[l]);
               done[l] = true;
               --remaining;
               continue;
@@ -435,10 +468,10 @@ void LoweredProblem::max_param_for_budget_from_batch(int k, const double* from,
         } else {
           bhi[l] = std::min(bhi[l], xs[l]);
           double proposal = slope > 1e-12
-                                ? xs[l] - (pts[l].value - budget[g0 + l]) / slope
+                                ? xs[l] - (pts[l].value - budget) / slope
                                 : pts[l].lo - eps[l];
           if (slope > 1e-12 && proposal >= pts[l].lo - eps[l]) {
-            res[l] = std::max(proposal, from[g0 + l]);
+            res[l] = std::max(proposal, lane_from[l]);
             done[l] = true;
             --remaining;
             continue;
@@ -456,10 +489,12 @@ void LoweredProblem::max_param_for_budget_from_batch(int k, const double* from,
       }
       if (remaining == 0) break;
       solve_batch_ranges(k, xs, w, cur, pts);
+      ++passes;
     }
     if (remaining > 0) throw LpError("tolerance: did not converge");
     for (std::size_t l = 0; l < w; ++l) out[g0 + l] = res[l];
   }
+  return passes;
 }
 
 }  // namespace llamp::lp

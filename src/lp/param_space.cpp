@@ -15,27 +15,27 @@ double payload_cost(std::uint64_t bytes, double G) {
 
 }  // namespace
 
-Affine LatencyParamSpace::edge_cost(const graph::Graph&,
-                                    const graph::Edge& e) const {
-  Affine a;
+void LatencyParamSpace::edge_cost_into(const graph::Graph&,
+                                       const graph::Edge& e,
+                                       Affine& a) const {
   a.constant = static_cast<double>(e.o_mult) * p_.o + payload_cost(e.bytes, p_.G);
+  a.terms.clear();
   if (e.l_mult != 0) {
     a.terms.push_back({0, static_cast<double>(e.l_mult)});
   }
-  return a;
 }
 
-Affine LatencyBandwidthParamSpace::edge_cost(const graph::Graph&,
-                                             const graph::Edge& e) const {
-  Affine a;
+void LatencyBandwidthParamSpace::edge_cost_into(const graph::Graph&,
+                                                const graph::Edge& e,
+                                                Affine& a) const {
   a.constant = static_cast<double>(e.o_mult) * p_.o;
+  a.terms.clear();
   if (e.l_mult != 0) {
     a.terms.push_back({0, static_cast<double>(e.l_mult)});
   }
   if (e.bytes > 1) {
     a.terms.push_back({1, static_cast<double>(e.bytes - 1)});
   }
-  return a;
 }
 
 PairwiseLatencyParamSpace::PairwiseLatencyParamSpace(loggops::Params p,
@@ -92,8 +92,9 @@ PerturbedParamSpace::PerturbedParamSpace(
   }
 }
 
-Affine PerturbedParamSpace::edge_cost(const graph::Graph& g,
-                                      const graph::Edge& e) const {
+void PerturbedParamSpace::edge_cost_into(const graph::Graph& g,
+                                         const graph::Edge& e,
+                                         Affine& a) const {
   if (edge_factor_.size() != g.num_edges()) {
     throw LpError(strformat(
         "perturbed space: %zu edge factors for a graph with %zu edges",
@@ -106,11 +107,10 @@ Affine PerturbedParamSpace::edge_cost(const graph::Graph& g,
   if (id >= edges.size()) {
     throw LpError("perturbed space: edge does not belong to this graph");
   }
-  Affine a = base_->edge_cost(g, e);
+  base_->edge_cost_into(g, e, a);
   const double f = edge_factor_[id];
   a.constant *= f;
   for (ParamTerm& t : a.terms) t.coeff *= f;
-  return a;
 }
 
 int PairwiseLatencyParamSpace::pair_index(int i, int j) const {
@@ -155,16 +155,17 @@ std::string PairwiseLatencyParamSpace::param_name(int k) const {
   throw LpError("pairwise space: bad parameter index");
 }
 
-Affine PairwiseLatencyParamSpace::edge_cost(const graph::Graph& g,
-                                            const graph::Edge& e) const {
-  Affine a;
+void PairwiseLatencyParamSpace::edge_cost_into(const graph::Graph& g,
+                                               const graph::Edge& e,
+                                               Affine& a) const {
   a.constant = static_cast<double>(e.o_mult) * p_.o;
+  a.terms.clear();
   if (e.l_mult != 0 || e.bytes > 1) {
     const auto [src, dst] = g.edge_wire_pair(e);
     if (src == dst) {
       // Local edges carry no wire terms by construction, but guard anyway.
       a.constant += payload_cost(e.bytes, p_.G);
-      return a;
+      return;
     }
     const auto k = static_cast<std::size_t>(pair_index(src, dst));
     if (e.l_mult != 0) {
@@ -179,7 +180,6 @@ Affine PairwiseLatencyParamSpace::edge_cost(const graph::Graph& g,
       }
     }
   }
-  return a;
 }
 
 LinkClassParamSpace::LinkClassParamSpace(loggops::Params p,
@@ -217,10 +217,11 @@ const LinkClassParamSpace::Route& LinkClassParamSpace::route(int src,
                  static_cast<std::size_t>(dst)];
 }
 
-Affine LinkClassParamSpace::edge_cost(const graph::Graph& g,
-                                      const graph::Edge& e) const {
-  Affine a;
+void LinkClassParamSpace::edge_cost_into(const graph::Graph& g,
+                                         const graph::Edge& e,
+                                         Affine& a) const {
   a.constant = static_cast<double>(e.o_mult) * p_.o + payload_cost(e.bytes, p_.G);
+  a.terms.clear();
   if (e.l_mult != 0) {
     const auto [src, dst] = g.edge_wire_pair(e);
     const Route& r = route(src, dst);
@@ -232,7 +233,6 @@ Affine LinkClassParamSpace::edge_cost(const graph::Graph& g,
       }
     }
   }
-  return a;
 }
 
 }  // namespace llamp::lp

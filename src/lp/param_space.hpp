@@ -57,8 +57,17 @@ class ParamSpace {
   virtual double base_value(int k) const = 0;
   /// Edge cost as an affine function of the parameters; the constant part
   /// carries everything non-parametric (o terms, fixed-G payload terms...).
-  virtual Affine edge_cost(const graph::Graph& g,
-                           const graph::Edge& e) const = 0;
+  /// Replaces `out`'s contents but reuses its term storage, so lowering
+  /// every edge of a graph through one scratch Affine allocates once
+  /// instead of once per edge.
+  virtual void edge_cost_into(const graph::Graph& g, const graph::Edge& e,
+                              Affine& out) const = 0;
+  /// Convenience form returning a fresh expression.
+  Affine edge_cost(const graph::Graph& g, const graph::Edge& e) const {
+    Affine a;
+    edge_cost_into(g, e, a);
+    return a;
+  }
 
   /// LogGPS vector used for vertex costs (o) and non-parametric terms.
   virtual const loggops::Params& params() const = 0;
@@ -72,7 +81,8 @@ class LatencyParamSpace final : public ParamSpace {
   int num_params() const override { return 1; }
   std::string param_name(int) const override { return "l"; }
   double base_value(int) const override { return p_.L; }
-  Affine edge_cost(const graph::Graph& g, const graph::Edge& e) const override;
+  void edge_cost_into(const graph::Graph& g, const graph::Edge& e,
+                      Affine& out) const override;
   const loggops::Params& params() const override { return p_; }
 
  private:
@@ -89,7 +99,8 @@ class LatencyBandwidthParamSpace final : public ParamSpace {
   int num_params() const override { return 2; }
   std::string param_name(int k) const override { return k == 0 ? "l" : "G"; }
   double base_value(int k) const override { return k == 0 ? p_.L : p_.G; }
-  Affine edge_cost(const graph::Graph& g, const graph::Edge& e) const override;
+  void edge_cost_into(const graph::Graph& g, const graph::Edge& e,
+                      Affine& out) const override;
   const loggops::Params& params() const override { return p_; }
 
  private:
@@ -122,7 +133,8 @@ class PairwiseLatencyParamSpace final : public ParamSpace {
   int num_params() const override;
   std::string param_name(int k) const override;
   double base_value(int k) const override;
-  Affine edge_cost(const graph::Graph& g, const graph::Edge& e) const override;
+  void edge_cost_into(const graph::Graph& g, const graph::Edge& e,
+                      Affine& out) const override;
   const loggops::Params& params() const override { return p_; }
 
  private:
@@ -159,7 +171,8 @@ class PerturbedParamSpace final : public ParamSpace {
     return base_->param_name(k);
   }
   double base_value(int k) const override { return base_->base_value(k); }
-  Affine edge_cost(const graph::Graph& g, const graph::Edge& e) const override;
+  void edge_cost_into(const graph::Graph& g, const graph::Edge& e,
+                      Affine& out) const override;
   const loggops::Params& params() const override { return base_->params(); }
 
  private:
@@ -194,7 +207,8 @@ class LinkClassParamSpace final : public ParamSpace {
   double base_value(int k) const override {
     return base_[static_cast<std::size_t>(k)];
   }
-  Affine edge_cost(const graph::Graph& g, const graph::Edge& e) const override;
+  void edge_cost_into(const graph::Graph& g, const graph::Edge& e,
+                      Affine& out) const override;
   const loggops::Params& params() const override { return p_; }
 
  private:

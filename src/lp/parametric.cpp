@@ -83,11 +83,50 @@ struct LoweredProblem::CsrEdgeAt {
   }
 };
 
+GraphLayout::GraphLayout(const graph::Graph& graph) : g(graph) {
+  if (!g.finalized()) throw LpError("graph must be finalized");
+  // The forward pass visits vertices in topo order anyway, so lay
+  // everything out in that order and the pass becomes a sequential stream
+  // instead of a pointer chase.
+  const std::size_t n = g.num_vertices();
+  const auto topo = g.topo_order();
+  topo_pos.assign(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    topo_pos[topo[i]] = static_cast<std::uint32_t>(i);
+  }
+  in_off.reserve(n + 1);
+  in_off.push_back(0);
+  in_other.reserve(g.num_edges());
+  in_edge.reserve(g.num_edges());
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto ins = g.in_edges(topo[i]);
+    max_in_degree =
+        std::max(max_in_degree, static_cast<std::uint32_t>(ins.size()));
+    for (const auto& a : ins) {
+      in_other.push_back(topo_pos[a.other]);
+      in_edge.push_back(a.edge);
+    }
+    in_off.push_back(static_cast<std::uint32_t>(in_edge.size()));
+  }
+  for (graph::VertexId v = 0; v < n; ++v) {
+    if (g.out_edges(v).empty()) sink_pos.push_back(topo_pos[v]);
+  }
+}
+
 LoweredProblem::LoweredProblem(const graph::Graph& g,
                                std::shared_ptr<const ParamSpace> space)
-    : g_(g), space_(std::move(space)) {
+    : LoweredProblem(g, std::move(space),
+                     std::make_shared<const GraphLayout>(g)) {}
+
+LoweredProblem::LoweredProblem(const graph::Graph& g,
+                               std::shared_ptr<const ParamSpace> space,
+                               std::shared_ptr<const GraphLayout> layout)
+    : g_(g), space_(std::move(space)), layout_(std::move(layout)) {
   if (!g.finalized()) throw LpError("graph must be finalized");
   if (!space_) throw LpError("null parameter space");
+  if (!layout_ || &layout_->g != &g) {
+    throw LpError("graph layout belongs to another graph");
+  }
   num_params_ = space_->num_params();
   base_.reserve(static_cast<std::size_t>(num_params_));
   for (int k = 0; k < num_params_; ++k) {
@@ -95,16 +134,19 @@ LoweredProblem::LoweredProblem(const graph::Graph& g,
   }
 
   // Lower the per-edge Affine expressions into CSR structure-of-arrays
-  // storage; the transient Affine (and its heap-allocated term vector) dies
-  // here instead of being walked on every solve.
+  // storage through one scratch expression, so lowering allocates per
+  // array, never per edge.
   const auto edges = g_.edges();
   const std::size_t ne = edges.size();
   edge_const_.reserve(ne);
   term_offsets_.reserve(ne + 1);
   term_offsets_.push_back(0);
+  term_param_.reserve(ne);
+  term_coeff_.reserve(ne);
   bool one_term_per_edge = true;
+  Affine a;
   for (const graph::Edge& e : edges) {
-    const Affine a = space_->edge_cost(g_, e);
+    space_->edge_cost_into(g_, e, a);
     edge_const_.push_back(a.constant);
     for (const ParamTerm& t : a.terms) {
       if (t.param < 0 || t.param >= num_params_) {
@@ -152,46 +194,25 @@ LoweredProblem::LoweredProblem(const graph::Graph& g,
   const loggops::Params& p = space_->params();
   for (graph::VertexId v = 0; v < n; ++v) {
     vertex_cost_.push_back(graph::vertex_cost(g_.vertex(v), p));
-    max_in_degree_ = std::max(
-        max_in_degree_, static_cast<std::uint32_t>(g_.in_edges(v).size()));
   }
 
-  // Topo-permuted adjacency: the forward pass visits vertices in topo
-  // order anyway, so lay everything out in that order and the pass becomes
-  // a sequential stream instead of a pointer chase.  Per-vertex in-edge
-  // order is preserved, so every floating-point comparison and sum happens
-  // in the seed's order.
+  // Costs in the layout's visit order: vertex costs by topo position, the
+  // flat cost arrays by adjacency slot.
   const auto topo = g_.topo_order();
-  topo_pos_.assign(n, 0);
+  vertex_cost_topo_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    topo_pos_[topo[i]] = static_cast<std::uint32_t>(i);
-  }
-  in_off_.reserve(n + 1);
-  in_off_.push_back(0);
-  in_other_.reserve(ne);
-  in_edge_.reserve(ne);
-  vertex_cost_topo_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const graph::VertexId v = topo[i];
-    vertex_cost_topo_.push_back(vertex_cost_[v]);
-    for (const auto& a : g_.in_edges(v)) {
-      in_other_.push_back(topo_pos_[a.other]);
-      in_edge_.push_back(a.edge);
-    }
-    in_off_.push_back(static_cast<std::uint32_t>(in_edge_.size()));
-  }
-  for (graph::VertexId v = 0; v < n; ++v) {
-    if (g_.out_edges(v).empty()) sink_pos_.push_back(topo_pos_[v]);
+    vertex_cost_topo_[i] = vertex_cost_[topo[i]];
   }
   if (flat_) {
-    const std::size_t slots = in_edge_.size();
+    const std::vector<std::uint32_t>& in_edge = layout_->in_edge;
+    const std::size_t slots = in_edge.size();
     flat_const_slot_.resize(static_cast<std::size_t>(num_params_) * slots);
     flat_slope_slot_.resize(static_cast<std::size_t>(num_params_) * slots);
     for (int k = 0; k < num_params_; ++k) {
       const std::size_t ko = static_cast<std::size_t>(k);
       for (std::size_t j = 0; j < slots; ++j) {
-        flat_const_slot_[ko * slots + j] = flat_const_[ko * ne + in_edge_[j]];
-        flat_slope_slot_[ko * slots + j] = flat_slope_[ko * ne + in_edge_[j]];
+        flat_const_slot_[ko * slots + j] = flat_const_[ko * ne + in_edge[j]];
+        flat_slope_slot_[ko * slots + j] = flat_slope_[ko * ne + in_edge[j]];
       }
     }
   }
@@ -209,8 +230,8 @@ void LoweredProblem::prepare(Cursor& cur) const {
     cur.arg_edge_.resize(n);
   }
   if (cur.chain_.capacity() < n) cur.chain_.reserve(n);
-  if (cur.cands_.capacity() < max_in_degree_) {
-    cur.cands_.reserve(max_in_degree_);
+  if (cur.cands_.capacity() < layout_->max_in_degree) {
+    cur.cands_.reserve(layout_->max_in_degree);
   }
 }
 
@@ -223,6 +244,9 @@ void LoweredProblem::forward_pass(int active, double value, Cursor& cur,
   double* const slope = cur.slope_.data();
   std::uint32_t* const arg_edge = cur.arg_edge_.data();
   auto& cands = cur.cands_;
+  const std::uint32_t* const in_off = layout_->in_off.data();
+  const std::uint32_t* const in_other = layout_->in_other.data();
+  const std::uint32_t* const in_edge = layout_->in_edge.data();
 
   // Allowed movement of the active parameter relative to `value` keeping
   // every max-argument selection (the LP basis) valid.
@@ -231,8 +255,8 @@ void LoweredProblem::forward_pass(int active, double value, Cursor& cur,
   double stable_dhi = kInfD;
 
   for (std::size_t i = 0; i < n; ++i) {  // topo position order
-    const std::uint32_t jlo = in_off_[i];
-    const std::uint32_t jhi = in_off_[i + 1];
+    const std::uint32_t jlo = in_off[i];
+    const std::uint32_t jhi = in_off[i + 1];
     if (jlo == jhi) {
       finish[i] = vertex_cost_topo_[i];
       slope[i] = 0.0;
@@ -241,11 +265,11 @@ void LoweredProblem::forward_pass(int active, double value, Cursor& cur,
     }
     // The first candidate is selected unconditionally (exactly the seed's
     // `best_edge == kNoEdge` short-circuit, which never evaluated eps).
-    const auto [c0, s0] = edge_at(jlo, in_edge_[jlo]);
-    const std::uint32_t u0 = in_other_[jlo];
+    const auto [c0, s0] = edge_at(jlo, in_edge[jlo]);
+    const std::uint32_t u0 = in_other[jlo];
     double best_val = finish[u0] + c0;
     double best_slope = slope[u0] + s0;
-    std::uint32_t best_edge = in_edge_[jlo];
+    std::uint32_t best_edge = in_edge[jlo];
     if (jhi - jlo == 1) {
       // Single predecessor: the candidate is the winner, and the seed's
       // envelope loop skipped it as such — no eps, no constrain.
@@ -256,12 +280,12 @@ void LoweredProblem::forward_pass(int active, double value, Cursor& cur,
     }
     cands.clear();
     // llamp-lint: allow(hot-alloc): within the capacity prepare() reserved
-    // (max_in_degree_); zero steady-state allocation is pinned by
+    // (max_in_degree); zero steady-state allocation is pinned by
     // test_alloc_free's counting operator new.
     cands.emplace_back(best_val, best_slope);
     for (std::uint32_t j = jlo + 1; j < jhi; ++j) {
-      const auto [c, s] = edge_at(j, in_edge_[j]);
-      const std::uint32_t u = in_other_[j];
+      const auto [c, s] = edge_at(j, in_edge[j]);
+      const std::uint32_t u = in_other[j];
       const double cv = finish[u] + c;
       const double cs = slope[u] + s;
       // llamp-lint: allow(hot-alloc): same reserved-capacity argument as
@@ -271,7 +295,7 @@ void LoweredProblem::forward_pass(int active, double value, Cursor& cur,
       if (cv > best_val + be || (cv > best_val - be && cs > best_slope)) {
         best_val = cv;
         best_slope = cs;
-        best_edge = in_edge_[j];
+        best_edge = in_edge[j];
       }
     }
     for (const auto& [cv, cs] : cands) {
@@ -292,7 +316,8 @@ void LoweredProblem::forward_pass(int active, double value, Cursor& cur,
   double best_val = -kInfD;
   double best_slope = 0.0;
   std::uint32_t best_sink = kNoEdge;  // topo position of the critical sink
-  for (const std::uint32_t pos : sink_pos_) {
+  const std::vector<std::uint32_t>& sink_pos = layout_->sink_pos;
+  for (const std::uint32_t pos : sink_pos) {
     if (best_sink == kNoEdge || finish[pos] > best_val + value_eps(best_val) ||
         (finish[pos] > best_val - value_eps(best_val) &&
          slope[pos] > best_slope)) {
@@ -304,7 +329,7 @@ void LoweredProblem::forward_pass(int active, double value, Cursor& cur,
   if (best_sink == kNoEdge) {
     throw LpError("graph has no sink vertex");
   }
-  for (const std::uint32_t pos : sink_pos_) {
+  for (const std::uint32_t pos : sink_pos) {
     if (pos == best_sink) continue;
     constrain(best_val, best_slope, finish[pos], slope[pos], dlo, dhi,
               stable_dhi);
@@ -331,7 +356,7 @@ void LoweredProblem::forward_pass(int active, double value, Cursor& cur,
     // llamp-lint: allow(hot-alloc): chain_ was reserved to num_vertices in
     // prepare(), the longest possible argmax chain.
     cur.chain_.push_back(e);
-    pos = topo_pos_[g_.edge(e).from];
+    pos = layout_->topo_pos[g_.edge(e).from];
   }
   cur.chain_src_ = g_.topo_order()[pos];
   std::reverse(cur.chain_.begin(), cur.chain_.end());
@@ -402,7 +427,7 @@ void LoweredProblem::solve_into(int active, double value, Cursor& cur) const {
   }
   prepare(cur);
   if (flat_) {
-    const std::size_t slots = in_edge_.size();
+    const std::size_t slots = layout_->in_edge.size();
     const FlatEdgeAt at{
         flat_const_slot_.data() + static_cast<std::size_t>(active) * slots,
         flat_slope_slot_.data() + static_cast<std::size_t>(active) * slots,
@@ -445,7 +470,8 @@ LoweredProblem::Solution LoweredProblem::solve() const {
 
 // llamp-lint: hot-path begin
 void LoweredProblem::sweep(int k, std::span<const double> xs, Cursor& cur,
-                           SweepEval* out, SweepStats* stats) const {
+                           SweepEval* out, SweepStats* stats,
+                           BatchPoint* first) const {
   if (k < 0 || k >= num_params_) {
     throw LpError("parametric: active parameter out of range");
   }
@@ -469,8 +495,10 @@ void LoweredProblem::sweep(int k, std::span<const double> xs, Cursor& cur,
     } else {
       ++local.anchor_solves;
       solve_into(k, x, cur);
+      const double slope = sol.gradient[static_cast<std::size_t>(k)];
+      if (first != nullptr && !have) *first = {sol.value, slope, sol.lo, sol.hi};
       have = true;
-      out[i] = {x, sol.value, sol.gradient[static_cast<std::size_t>(k)]};
+      out[i] = {x, sol.value, slope};
     }
   }
   if (stats) *stats = local;
@@ -592,40 +620,66 @@ double LoweredProblem::max_param_for_budget_from(int k, double from,
   if (k < 0 || k >= num_params_) {
     throw LpError("tolerance: parameter out of range");
   }
+  const Solution& s = solve(k, from, cur);
+  const BatchPoint start{s.value, s.gradient[static_cast<std::size_t>(k)],
+                         s.lo, s.hi};
+  double out = 0.0;
+  max_param_for_budgets_from(k, from, start, {&budget, 1}, cur, &out);
+  return out;
+}
+
+std::size_t LoweredProblem::max_param_for_budgets_from(
+    int k, double from, const BatchPoint& start,
+    std::span<const double> budgets, Cursor& cur, double* out) const {
+  if (k < 0 || k >= num_params_) {
+    throw LpError("tolerance: parameter out of range");
+  }
+  for (const double budget : budgets) {
+    if (start.value > budget + value_eps(budget)) {
+      throw LpError(strformat(
+          "tolerance: T(%g) = %g already exceeds budget %g", from,
+          start.value, budget));
+    }
+  }
+  std::size_t solves = 0;
+  for (std::size_t b = 0; b < budgets.size(); ++b) {
+    out[b] = budget_search(k, from, budgets[b], start, cur, solves);
+  }
+  return solves;
+}
+
+double LoweredProblem::budget_search(int k, double from, double budget,
+                                     BatchPoint s, Cursor& cur,
+                                     std::size_t& solves) const {
   // T(x) is convex, piecewise linear, and non-decreasing in any parameter
   // (all edge coefficients are nonnegative), so the crossing T(x) = budget
   // is found by a bracketed Newton/secant iteration: a tangent from below
   // is exact as soon as its crossing lands inside the current linear piece,
   // and overshoots land above the budget, shrinking the bracket.  This
   // visits O(log) pieces instead of every basis change, which matters on
-  // jittered application graphs with thousands of near-ties.
+  // jittered application graphs with thousands of near-ties.  `s` is the
+  // solve at `from`, already checked against the budget.
   const double eps = std::max(1e-6, std::fabs(budget) * 1e-12);
   double x = from;
-  const Solution* s = &solve(k, x, cur);
-  if (s->value > budget + value_eps(budget)) {
-    throw LpError(strformat("tolerance: T(%g) = %g already exceeds budget %g",
-                            x, s->value, budget));
-  }
   double bracket_lo = x;        // T(bracket_lo) <= budget
   double bracket_hi = kInfD;    // T(bracket_hi) > budget (once finite)
 
   for (int iter = 0; iter < 512; ++iter) {
-    const double slope = s->gradient[static_cast<std::size_t>(k)];
-    const bool below = s->value <= budget + value_eps(budget);
+    const bool below = s.value <= budget + value_eps(budget);
     if (below) {
       bracket_lo = std::max(bracket_lo, x);
       double proposal;
-      if (slope > 1e-12) {
-        proposal = x + (budget - s->value) / slope;
+      if (s.slope > 1e-12) {
+        proposal = x + (budget - s.value) / s.slope;
         // Tangent crossing inside the current piece: exact answer.  The
         // clamp defines the boundary case where the budget is already tied
         // within the fuzzy band at `from` (T(from) in (budget,
         // budget + eps]): the tangent would extrapolate below the anchor —
         // a negative tolerance — so the result is pinned to `from` itself.
-        if (proposal <= s->hi + eps) return std::max(proposal, from);
+        if (proposal <= s.hi + eps) return std::max(proposal, from);
       } else {
-        if (!std::isfinite(s->hi)) return kInfD;  // flat forever
-        proposal = s->hi + eps;
+        if (!std::isfinite(s.hi)) return kInfD;  // flat forever
+        proposal = s.hi + eps;
       }
       if (std::isfinite(bracket_hi) &&
           (proposal >= bracket_hi || proposal <= bracket_lo)) {
@@ -635,9 +689,9 @@ double LoweredProblem::max_param_for_budget_from(int k, double from,
     } else {
       bracket_hi = std::min(bracket_hi, x);
       // Walk the current piece's line back down to the budget.
-      double proposal =
-          slope > 1e-12 ? x - (s->value - budget) / slope : s->lo - eps;
-      if (slope > 1e-12 && proposal >= s->lo - eps) {
+      double proposal = s.slope > 1e-12 ? x - (s.value - budget) / s.slope
+                                        : s.lo - eps;
+      if (s.slope > 1e-12 && proposal >= s.lo - eps) {
         return std::max(proposal, from);  // same boundary clamp as above
       }
       if (proposal <= bracket_lo || proposal >= bracket_hi) {
@@ -648,7 +702,10 @@ double LoweredProblem::max_param_for_budget_from(int k, double from,
     if (std::isfinite(bracket_hi) && bracket_hi - bracket_lo <= eps) {
       return bracket_lo;
     }
-    s = &solve(k, x, cur);
+    const Solution& sol = solve(k, x, cur);
+    ++solves;
+    s = {sol.value, sol.gradient[static_cast<std::size_t>(k)], sol.lo,
+         sol.hi};
   }
   throw LpError("tolerance: did not converge");
 }

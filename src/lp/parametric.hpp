@@ -31,6 +31,28 @@ inline double value_eps(double v) { return 1e-9 * (1.0 + std::fabs(v)); }
 /// exactly.
 inline constexpr std::size_t kBatchWidth = 16;
 
+/// The graph-only half of a lowering: the topo-permuted adjacency every
+/// forward pass streams.  Vertices are visited by topo position i, their
+/// in-edges occupy the contiguous slot range [in_off[i], in_off[i+1]), and
+/// per-vertex in-edge order is the graph's own, so every floating-point
+/// comparison and sum happens in the seed's order.  Nothing here depends
+/// on a parameter space, so one immutable layout serves every
+/// LoweredProblem over the same graph — run_mc's general path lowers a
+/// perturbed problem per sample over a layout it builds once per run.
+struct GraphLayout {
+  explicit GraphLayout(const graph::Graph& g);
+  /// The layout keeps a reference; a temporary graph would dangle.
+  explicit GraphLayout(graph::Graph&&) = delete;
+
+  const graph::Graph& g;
+  std::uint32_t max_in_degree = 0;
+  std::vector<std::uint32_t> in_off;     ///< topo pos -> slot range
+  std::vector<std::uint32_t> in_other;   ///< slot -> predecessor topo pos
+  std::vector<std::uint32_t> in_edge;    ///< slot -> edge id
+  std::vector<std::uint32_t> topo_pos;   ///< vertex id -> topo pos
+  std::vector<std::uint32_t> sink_pos;   ///< sinks by ascending vertex id
+};
+
 /// Exact solver state for the LP class produced by Algorithm 1.  Those LPs
 /// are longest-path problems on a DAG whose edge costs are affine in the
 /// decision parameters, so the optimum is computable by a single forward
@@ -72,6 +94,12 @@ class LoweredProblem {
  public:
   LoweredProblem(const graph::Graph& g,
                  std::shared_ptr<const ParamSpace> space);
+  /// Same lowering over a prebuilt layout of `g` (throws LpError if the
+  /// layout belongs to another graph): only the space's costs are lowered,
+  /// and the result is bitwise the two-argument constructor's.
+  LoweredProblem(const graph::Graph& g,
+                 std::shared_ptr<const ParamSpace> space,
+                 std::shared_ptr<const GraphLayout> layout);
   /// The problem keeps a reference; a temporary graph would dangle.
   LoweredProblem(graph::Graph&&, std::shared_ptr<const ParamSpace>) = delete;
   LoweredProblem(const LoweredProblem&) = delete;
@@ -138,10 +166,11 @@ class LoweredProblem {
     Solution solution_;
   };
 
-  /// One lane of a batched forward pass: T, the active slope, and (when
-  /// requested) the active parameter's feasibility range at that lane's
-  /// evaluation point.  Every field is bitwise identical to the matching
-  /// member of solve(active, x).{value, gradient[active], lo, hi}.
+  /// One evaluated point with its feasibility range: a lane of a batched
+  /// forward pass, or the starting solve a budget search resumes from.
+  /// Every field is bitwise identical to the matching member of
+  /// solve(active, x).{value, gradient[active], lo, hi} (lo/hi only when
+  /// the producer computes ranges).
   struct BatchPoint {
     double value = 0.0;
     double slope = 0.0;
@@ -174,6 +203,7 @@ class LoweredProblem {
     /// Lockstep budget-search lane state (max_param_for_budget_from_batch).
     std::vector<double> search_x_;
     std::vector<BatchPoint> search_pts_;
+    std::vector<BatchPoint> search_start_;
   };
 
   /// Batched forward pass: evaluate parameter `active` at xs[0..n) — one
@@ -207,6 +237,23 @@ class LoweredProblem {
   void max_param_for_budget_from_batch(int k, const double* from,
                                        const double* budget, std::size_t n,
                                        BatchCursor& cur, double* out) const;
+
+  /// Multi-budget lockstep search from given starting solves: for every
+  /// lane i < n and budget b < nb, out[b * n + i] is bitwise identical to
+  /// max_param_for_budget_from(k, from[i], budgets[b * n + i], cur), where
+  /// start[i] must be solve_batch_ranges' lane at from[i] (or any producer
+  /// bitwise equal to it).  The starting pass therefore runs once per lane
+  /// instead of once per (lane, budget).  Infeasibility throws the LpError
+  /// the first failing independent call (budget-major, lowest lane first)
+  /// would throw.  Returns the number of ranged batch passes run; steady
+  /// state allocates nothing.
+  std::size_t max_param_for_budgets_from_batch(int k, const double* from,
+                                               const BatchPoint* start,
+                                               std::size_t n,
+                                               const double* budgets,
+                                               std::size_t nb,
+                                               BatchCursor& cur,
+                                               double* out) const;
 
   /// Evaluate with parameter `active` set to `value` and all others at
   /// their base values, reusing `cur` for all scratch state.  The returned
@@ -272,6 +319,16 @@ class LoweredProblem {
   /// bitwise.
   double max_param_for_budget_from(int k, double from, double budget,
                                    Cursor& cur) const;
+  /// The same search for several budgets from one starting solve:
+  /// out[b] is bitwise max_param_for_budget_from(k, from, budgets[b], cur),
+  /// where `start` must be the solve at `from` (value, slope, lo, hi — as
+  /// sweep() captures it), so that solve is not repeated per budget.
+  /// Infeasibility throws the LpError the first failing independent call
+  /// would throw.  Returns the number of solves run.
+  std::size_t max_param_for_budgets_from(int k, double from,
+                                         const BatchPoint& start,
+                                         std::span<const double> budgets,
+                                         Cursor& cur, double* out) const;
 
   /// One evaluated point of a segment-walk sweep.
   struct SweepEval {
@@ -298,9 +355,12 @@ class LoweredProblem {
   /// (Near-ties split the λ-segments of piecewise() into finer basis
   /// pieces, so the pass count lies between the segment count and the point
   /// count.)  Writes xs.size() entries to `out`.  Throws LpError on
-  /// descending xs.
+  /// descending xs.  The first point is always a dense solve; when `first`
+  /// is non-null it receives that solve with its feasibility range (the
+  /// starting solve max_param_for_budgets_from takes).
   void sweep(int k, std::span<const double> xs, Cursor& cur,
-             SweepEval* out, SweepStats* stats = nullptr) const;
+             SweepEval* out, SweepStats* stats = nullptr,
+             BatchPoint* first = nullptr) const;
   std::vector<SweepEval> sweep(int k, std::span<const double> xs) const;
 
   /// A detached snapshot of one anchor solve: the solution, the critical
@@ -354,6 +414,11 @@ class LoweredProblem {
   void prepare_batch(BatchCursor& cur) const;
   /// Dense solve into cur (solution, chain, stability bound).
   void solve_into(int active, double value, Cursor& cur) const;
+  /// The bracketed-Newton iteration of max_param_for_budget_from after its
+  /// feasibility check, resumed from the solve `s` at `from`; adds the
+  /// solves it runs to `solves`.
+  double budget_search(int k, double from, double budget, BatchPoint s,
+                       Cursor& cur, std::size_t& solves) const;
   /// T at `x` via the cached critical path of cur's last solve.  Only valid
   /// for cur.solution_.at <= x < cur.stable_hi_.
   double replay(int active, double x, Cursor& cur) const;
@@ -364,8 +429,8 @@ class LoweredProblem {
 
   const graph::Graph& g_;
   std::shared_ptr<const ParamSpace> space_;
+  std::shared_ptr<const GraphLayout> layout_;
   int num_params_ = 0;
-  std::uint32_t max_in_degree_ = 0;
 
   // CSR lowering of the per-edge Affine terms, preserving term order (and
   // therefore the seed's floating-point summation order) exactly.
@@ -381,18 +446,12 @@ class LoweredProblem {
   std::vector<double> flat_const_;
   std::vector<double> flat_slope_;
 
-  // Topo-permuted adjacency so the forward pass streams memory
-  // sequentially: vertices are visited by topo position i, their in-edges
-  // occupy the contiguous slot range [in_off_[i], in_off_[i+1]), and the
-  // flat cost arrays are additionally permuted into slot order
-  // (flat_const_slot_/flat_slope_slot_[k * E + j]).  Pure layout: every
-  // value and every visit order matches the seed's graph-driven walk.
-  std::vector<std::uint32_t> in_off_;      ///< topo pos -> slot range
-  std::vector<std::uint32_t> in_other_;    ///< slot -> predecessor topo pos
-  std::vector<std::uint32_t> in_edge_;     ///< slot -> edge id
+  // Costs in the layout's slot order so the forward pass streams memory
+  // sequentially: the flat cost arrays permuted into slot order
+  // (flat_const_slot_/flat_slope_slot_[k * E + j]) and the vertex costs
+  // by topo position.  Pure layout: every value and every visit order
+  // matches the seed's graph-driven walk.
   std::vector<double> vertex_cost_topo_;   ///< topo pos -> vertex cost
-  std::vector<std::uint32_t> topo_pos_;    ///< vertex id -> topo pos
-  std::vector<std::uint32_t> sink_pos_;    ///< sinks by ascending vertex id
   std::vector<double> flat_const_slot_;
   std::vector<double> flat_slope_slot_;
 

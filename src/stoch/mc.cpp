@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <span>
 
@@ -24,23 +26,47 @@ namespace {
 /// thread count can never change a single bit of the result.
 constexpr std::size_t kBlock = 1024;
 
-/// Per-worker scratch reused across every sample (or sample group) a
-/// worker serves.
+/// Per-worker scratch reused across every chunk, sample or lane group a
+/// worker serves, plus the worker's share of the run's work counters.
 struct WorkerScratch {
   lp::LoweredProblem::Cursor ws;
+  lp::LoweredProblem::BatchCursor bc;
+  // General path: one sample's grid points, in grid and in walk order.
   std::vector<double> xs;
+  std::vector<std::uint32_t> order;
+  std::vector<double> sorted;
   std::vector<lp::LoweredProblem::SweepEval> evals;
   std::vector<double> factors;
-  // Batched fast path: one kBatchWidth-wide lane group of samples.
-  lp::LoweredProblem::BatchCursor bc;
-  std::vector<lp::LoweredProblem::BatchPoint> pts;
-  std::vector<double> lane_L;       ///< the group's sampled L draws
-  std::vector<double> lane_xs;      ///< lane evaluation points, one ΔL at a time
-  std::vector<double> lane_from;    ///< per-lane band-search anchor (ΔL[0])
-  std::vector<double> lane_v0;      ///< per-lane T at ΔL[0]
-  std::vector<double> lane_budget;
-  std::vector<double> lane_tol;
+  // Band searches: per (band, lane) budgets and tolerances; the fast path
+  // also keeps one lane group's anchors and starting solves.
+  std::vector<double> budgets;
+  std::vector<double> tols;
+  std::vector<double> lane_from;
+  std::vector<lp::LoweredProblem::BatchPoint> lane_start;
+  std::uint64_t anchor_solves = 0;
+  std::uint64_t replays = 0;
+  std::uint64_t search_passes = 0;
 };
+
+/// Write the ascending permutation of `xs` into `order` (order[q] = index
+/// of the q-th smallest) and the values in that order into `sorted`, the
+/// order a segment walk needs.  Both outputs must be xs.size() long.
+/// Equal values may come in either order: sweep() evaluates every point
+/// bitwise like solve(), so ties cannot change a byte.
+void sort_points(std::span<const double> xs, std::span<std::uint32_t> order,
+                 std::span<double> sorted) {
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return xs[a] < xs[b];
+  });
+  for (std::size_t q = 0; q < order.size(); ++q) sorted[q] = xs[order[q]];
+}
+
+/// The tolerance emitted for one band: the distance from the anchor, or
+/// +inf when the search never crosses the budget.
+double tolerance_delta(double tol, double from) {
+  return std::isfinite(tol) ? tol - from : tol;
+}
 
 }  // namespace
 
@@ -108,15 +134,11 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
 
   const std::size_t npts = spec.delta_Ls.size();
   const std::size_t nbands = spec.band_percents.size();
-  bool ascending = true;
-  for (std::size_t i = 1; i < npts; ++i) {
-    if (spec.delta_Ls[i - 1] > spec.delta_Ls[i]) ascending = false;
-  }
 
   // Fast path: when o, G, and the edge noise are all degenerate, every
   // sample analyzes the same parametric LP and only the evaluation point
   // (the sampled L) moves — one solver, built once, serves every worker
-  // (solve() is const; all scratch lives in the per-worker workspace).
+  // (its queries are const; all scratch lives in per-worker cursors).
   // Otherwise each sample lowers its own perturbed space, which is what
   // the paper's "re-measure the operating point and redo the analysis"
   // amounts to.
@@ -124,10 +146,10 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
       shared_operating_point(spec, base);
   const bool shared_solver_path = shared_point.has_value();
 
-  loggops::Params shared_params = base;
   std::shared_ptr<const lp::LoweredProblem> shared;
+  std::shared_ptr<const lp::GraphLayout> layout;
   if (shared_solver_path) {
-    shared_params = *shared_point;
+    const loggops::Params& shared_params = *shared_point;
     shared_params.validate();
     // Adopt the caller's cached lowering only if it is verifiably this
     // run's problem: same graph object and the exact shared operating
@@ -149,6 +171,9 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
       shared = std::make_shared<const lp::LoweredProblem>(
           g, std::make_shared<lp::LatencyParamSpace>(shared_params));
     }
+  } else {
+    // The graph-only half of every per-sample lowering, built once.
+    layout = std::make_shared<const lp::GraphLayout>(g);
   }
 
   // One metric row per sample: runtime at every ΔL, then λ_L, ρ_L, then the
@@ -158,36 +183,45 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
   const std::size_t block = std::min(total, kBlock);
   std::vector<double> buffer(block * stride);
 
-  // On the shared-solver path the samples differ only in their L draw, so a
-  // whole lane group rides one batched forward pass per ΔL point (and one
-  // lockstep search per band) instead of a sweep + three scalar searches
-  // per sample.  Bitwise-identical output either way: solve_batch and the
-  // lockstep search match their scalar counterparts bit for bit, and the
-  // ordered reduction below never changes.
-  const bool batched = shared_solver_path && spec.batch;
-  const std::size_t ngroups =
-      (block + lp::kBatchWidth - 1) / lp::kBatchWidth;
-  const int nworkers =
-      effective_threads(batched ? ngroups : block, spec.threads);
+  const std::size_t ngroups = (block + lp::kBatchWidth - 1) / lp::kBatchWidth;
+  const int nworkers = effective_threads(
+      shared_solver_path ? std::max(block * npts, ngroups) : block,
+      spec.threads);
   std::vector<WorkerScratch> scratch(static_cast<std::size_t>(nworkers));
   for (WorkerScratch& s : scratch) {
-    s.xs.resize(npts);
-    s.evals.resize(npts);
-    if (batched) {
-      s.pts.resize(lp::kBatchWidth);
-      s.lane_L.resize(lp::kBatchWidth);
-      s.lane_xs.resize(lp::kBatchWidth);
+    if (shared_solver_path) {
+      s.budgets.resize(nbands * lp::kBatchWidth);
+      s.tols.resize(nbands * lp::kBatchWidth);
       s.lane_from.resize(lp::kBatchWidth);
-      s.lane_v0.resize(lp::kBatchWidth);
-      s.lane_budget.resize(lp::kBatchWidth);
-      s.lane_tol.resize(lp::kBatchWidth);
+      s.lane_start.resize(lp::kBatchWidth);
+    } else {
+      s.xs.resize(npts);
+      s.order.resize(npts);
+      s.sorted.resize(npts);
+      s.evals.resize(npts);
+      s.budgets.resize(nbands);
+      s.tols.resize(nbands);
     }
+  }
+  // Fast path, per block: every sample's grid points, their walk order,
+  // and the walk's evaluations.
+  std::vector<double> points;
+  std::vector<std::uint32_t> order;
+  std::vector<double> sorted;
+  std::vector<lp::LoweredProblem::SweepEval> evals;
+  std::vector<double> slope0;
+  if (shared_solver_path) {
+    points.resize(block * npts);
+    order.resize(block * npts);
+    sorted.resize(block * npts);
+    evals.resize(block * npts);
+    slope0.resize(block);
   }
 
   McResult res;
   res.base = base;
   res.samples = spec.samples;
-  res.batched = batched;
+  res.batched = shared_solver_path;
   res.batch_width = static_cast<int>(lp::kBatchWidth);
   res.delta_Ls = spec.delta_Ls;
   res.runtime.resize(npts);
@@ -214,56 +248,81 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
   for (std::size_t block_start = 0; block_start < total;
        block_start += block) {
     const std::size_t bn = std::min(block, total - block_start);
-    if (batched) {
+    if (shared_solver_path) {
+      // Sample j's point k is L_j + ΔL_k; L is each sample's first draw
+      // (o/G are degenerate here, pinned in the shared operating point).
+      for (std::size_t j = 0; j < bn; ++j) {
+        Rng rng(sample_seed(spec.seed, block_start + j));
+        const double L = spec.L.sample(rng, base.L);
+        for (std::size_t k = 0; k < npts; ++k) {
+          points[j * npts + k] = L + spec.delta_Ls[k];
+        }
+      }
+      // Every point of the block in one ascending order, walked in
+      // contiguous chunks (one per worker slot, each with its own cursor):
+      // one anchor solve per basis piece a chunk crosses, replays for the
+      // rest.  Walk results are bitwise solve()'s, so neither the chunking
+      // nor the thread count can change a byte.
+      const std::size_t m = bn * npts;
+      sort_points({points.data(), m}, {order.data(), m}, {sorted.data(), m});
+      const std::size_t chunks =
+          static_cast<std::size_t>(effective_threads(m, spec.threads));
+      parallel_for(chunks, spec.threads, [&](int w, std::size_t c) {
+        WorkerScratch& sc = scratch[static_cast<std::size_t>(w)];
+        const std::size_t lo = c * m / chunks;
+        const std::size_t hi = (c + 1) * m / chunks;
+        lp::LoweredProblem::SweepStats st;
+        shared->sweep(0, {sorted.data() + lo, hi - lo}, sc.ws,
+                      evals.data() + lo, &st);
+        sc.anchor_solves += st.anchor_solves;
+        sc.replays += st.replays;
+      });
+      for (std::size_t q = 0; q < m; ++q) {
+        const std::size_t j = order[q] / npts;
+        const std::size_t k = order[q] % npts;
+        buffer[j * stride + k] = evals[q].value;
+        if (k == 0) slope0[j] = evals[q].slope;
+      }
+      for (std::size_t j = 0; j < bn; ++j) {
+        double* out = buffer.data() + j * stride;
+        const double value0 = out[0];
+        out[npts] = slope0[j];
+        out[npts + 1] =
+            value0 > 0.0 ? points[j * npts] * slope0[j] / value0 : 0.0;
+      }
+      if (nbands == 0) {
+        fold_block(bn);
+        continue;
+      }
+      // Band searches, one lane group of samples at a time: one ranged
+      // pass at the anchors L_j + ΔL_0 is the starting solve every band's
+      // lockstep search resumes from.
       const std::size_t groups = (bn + lp::kBatchWidth - 1) / lp::kBatchWidth;
       parallel_for(groups, spec.threads, [&](int w, std::size_t gi) {
         WorkerScratch& sc = scratch[static_cast<std::size_t>(w)];
         const std::size_t g0 = gi * lp::kBatchWidth;
         const std::size_t lanes = std::min(lp::kBatchWidth, bn - g0);
-        // Per-lane draws: sample i's Rng and draw order are exactly the
-        // scalar path's, and L is its first draw — o/G are degenerate here,
-        // pinned in the shared operating point.
-        for (std::size_t l = 0; l < lanes; ++l) {
-          Rng rng(sample_seed(spec.seed, block_start + g0 + l));
-          sc.lane_L[l] = spec.L.sample(rng, base.L);
-        }
         // llamp-lint: hot-path begin
-        // Steady state: one batched pass per ΔL grid point, one lockstep
-        // band search per percent, all against preallocated lane scratch.
-        for (std::size_t k = 0; k < npts; ++k) {
-          for (std::size_t l = 0; l < lanes; ++l) {
-            sc.lane_xs[l] = sc.lane_L[l] + spec.delta_Ls[k];
-          }
-          shared->solve_batch(0, sc.lane_xs.data(), lanes, sc.bc,
-                              sc.pts.data());
-          for (std::size_t l = 0; l < lanes; ++l) {
-            buffer[(g0 + l) * stride + k] = sc.pts[l].value;
-          }
-          if (k == 0) {
-            for (std::size_t l = 0; l < lanes; ++l) {
-              double* out = buffer.data() + (g0 + l) * stride;
-              sc.lane_from[l] = sc.lane_xs[l];
-              sc.lane_v0[l] = sc.pts[l].value;
-              const double lambda0 = sc.pts[l].slope;
-              out[npts] = lambda0;
-              out[npts + 1] = sc.pts[l].value > 0.0
-                                  ? sc.lane_xs[l] * lambda0 / sc.pts[l].value
-                                  : 0.0;
-            }
-          }
+        // Steady state: preallocated lane scratch only.
+        for (std::size_t l = 0; l < lanes; ++l) {
+          sc.lane_from[l] = points[(g0 + l) * npts];
         }
+        shared->solve_batch_ranges(0, sc.lane_from.data(), lanes, sc.bc,
+                                   sc.lane_start.data());
+        ++sc.search_passes;
         for (std::size_t b = 0; b < nbands; ++b) {
           for (std::size_t l = 0; l < lanes; ++l) {
-            sc.lane_budget[l] =
-                sc.lane_v0[l] * (1.0 + spec.band_percents[b] / 100.0);
+            sc.budgets[b * lanes + l] = buffer[(g0 + l) * stride] *
+                                        (1.0 + spec.band_percents[b] / 100.0);
           }
-          shared->max_param_for_budget_from_batch(
-              0, sc.lane_from.data(), sc.lane_budget.data(), lanes, sc.bc,
-              sc.lane_tol.data());
+        }
+        sc.search_passes += shared->max_param_for_budgets_from_batch(
+            0, sc.lane_from.data(), sc.lane_start.data(), lanes,
+            sc.budgets.data(), nbands, sc.bc, sc.tols.data());
+        for (std::size_t b = 0; b < nbands; ++b) {
           for (std::size_t l = 0; l < lanes; ++l) {
-            const double tol = sc.lane_tol[l];
             buffer[(g0 + l) * stride + npts + 2 + b] =
-                std::isfinite(tol) ? tol - sc.lane_from[l] : tol;
+                tolerance_delta(sc.tols[b * lanes + l], sc.lane_from[l]);
           }
         }
         // llamp-lint: hot-path end
@@ -271,71 +330,77 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
       fold_block(bn);
       continue;
     }
-    // The scalar path: per-sample solves, either because batching is off
-    // (spec.batch) or because each sample lowers its own perturbed space.
-    // The general edge-noise path has imbalanced per-sample cost (the drawn
+    // The general path: each sample lowers its own perturbed space over
+    // the run's shared layout.  Per-sample cost is imbalanced (the drawn
     // operating point reshapes every solve); parallel_for's one-at-a-time
     // claiming lets a slot that drew expensive samples simply claim fewer.
     parallel_for(bn, spec.threads, [&](int w, std::size_t j) {
       WorkerScratch& sc = scratch[static_cast<std::size_t>(w)];
-      const std::size_t i = block_start + j;
-      Rng rng(sample_seed(spec.seed, i));
+      Rng rng(sample_seed(spec.seed, block_start + j));
 
       // Fixed in-sample draw order: L, o, G, then edge factors by edge id.
-      loggops::Params p = shared_solver_path ? shared_params : base;
+      loggops::Params p = base;
       p.L = spec.L.sample(rng, base.L);
       p.o = spec.o.sample(rng, base.o);
       p.G = spec.G.sample(rng, base.G);
-
-      std::optional<lp::LoweredProblem> local;
-      const lp::LoweredProblem* solver;
-      if (shared_solver_path) {
-        solver = shared.get();
-      } else {
-        std::shared_ptr<const lp::ParamSpace> sp =
-            std::make_shared<lp::LatencyParamSpace>(p);
-        if (!spec.noise.degenerate()) {
-          sc.factors.resize(g.num_edges());
-          for (double& f : sc.factors) f = spec.noise.factor(rng);
-          sp = std::make_shared<lp::PerturbedParamSpace>(std::move(sp),
-                                                         sc.factors);
-        }
-        local.emplace(g, sp);
-        solver = &*local;
+      std::shared_ptr<const lp::ParamSpace> sp =
+          std::make_shared<lp::LatencyParamSpace>(p);
+      if (!spec.noise.degenerate()) {
+        sc.factors.resize(g.num_edges());
+        for (double& f : sc.factors) f = spec.noise.factor(rng);
+        sp = std::make_shared<lp::PerturbedParamSpace>(std::move(sp),
+                                                       sc.factors);
       }
+      const lp::LoweredProblem solver(g, std::move(sp), layout);
 
       // llamp-lint: hot-path begin
       // Steady state: every per-sample evaluation below runs against
-      // preallocated per-worker scratch; only the perturbed-space setup
-      // above (the general path) may allocate.
+      // preallocated per-worker scratch; only the lowering above
+      // allocates.  One walk over the sample's points in ascending order;
+      // its first solve, with its range, starts every band search when it
+      // sits at the anchor L + ΔL_0 (always, for an ascending grid).
       for (std::size_t k = 0; k < npts; ++k) {
         sc.xs[k] = p.L + spec.delta_Ls[k];
       }
-      if (ascending) {
-        solver->sweep(0, sc.xs, sc.ws, sc.evals.data());
-      } else {
-        for (std::size_t k = 0; k < npts; ++k) {
-          const auto& sol = solver->solve(0, sc.xs[k], sc.ws);
-          sc.evals[k] = {sc.xs[k], sol.value, sol.gradient[0]};
-        }
-      }
+      sort_points(sc.xs, sc.order, sc.sorted);
+      lp::LoweredProblem::SweepStats st;
+      lp::LoweredProblem::BatchPoint start;
+      solver.sweep(0, sc.sorted, sc.ws, sc.evals.data(), &st, &start);
+      sc.anchor_solves += st.anchor_solves;
+      sc.replays += st.replays;
 
       double* out = buffer.data() + j * stride;
-      for (std::size_t k = 0; k < npts; ++k) out[k] = sc.evals[k].value;
-      const double value0 = sc.evals[0].value;
-      const double lambda0 = sc.evals[0].slope;
+      double lambda0 = 0.0;
+      for (std::size_t q = 0; q < npts; ++q) {
+        out[sc.order[q]] = sc.evals[q].value;
+        if (sc.order[q] == 0) lambda0 = sc.evals[q].slope;
+      }
+      const double value0 = out[0];
       out[npts] = lambda0;
       out[npts + 1] = value0 > 0.0 ? sc.xs[0] * lambda0 / value0 : 0.0;
-      for (std::size_t b = 0; b < nbands; ++b) {
-        const double budget =
-            value0 * (1.0 + spec.band_percents[b] / 100.0);
-        const double tol =
-            solver->max_param_for_budget_from(0, sc.xs[0], budget, sc.ws);
-        out[npts + 2 + b] = std::isfinite(tol) ? tol - sc.xs[0] : tol;
+      if (nbands > 0) {
+        if (sc.sorted[0] != sc.xs[0]) {
+          const auto& s0 = solver.solve(0, sc.xs[0], sc.ws);
+          start = {s0.value, s0.gradient[0], s0.lo, s0.hi};
+          ++sc.search_passes;
+        }
+        for (std::size_t b = 0; b < nbands; ++b) {
+          sc.budgets[b] = value0 * (1.0 + spec.band_percents[b] / 100.0);
+        }
+        sc.search_passes += solver.max_param_for_budgets_from(
+            0, sc.xs[0], start, sc.budgets, sc.ws, sc.tols.data());
+        for (std::size_t b = 0; b < nbands; ++b) {
+          out[npts + 2 + b] = tolerance_delta(sc.tols[b], sc.xs[0]);
+        }
       }
       // llamp-lint: hot-path end
     });
     fold_block(bn);
+  }
+  for (const WorkerScratch& s : scratch) {
+    res.anchor_solves += s.anchor_solves;
+    res.replays += s.replays;
+    res.search_passes += s.search_passes;
   }
   return res;
 }

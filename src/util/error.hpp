@@ -62,10 +62,12 @@ class SimError : public Error {
 };
 
 /// Errors from topology construction (invalid radix/group parameters, node
-/// index out of range).
+/// index out of range).  Unprefixed: the surfaces that raise them (`llamp
+/// topo`, `llamp place`, campaign topologies) already name the topology
+/// context, so a "topo: " tag would only repeat it.
 class TopoError : public Error {
  public:
-  explicit TopoError(const std::string& what) : Error("topo: " + what) {}
+  explicit TopoError(const std::string& what) : Error(what) {}
 };
 
 }  // namespace llamp

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -123,6 +125,63 @@ TEST(AllocationFree, BatchSolvesAllocateNothingAfterWarmup) {
   }
   EXPECT_EQ(g_allocations, before)
       << "steady-state batch kernel allocated on the heap";
+}
+
+TEST(AllocationFree, McWalkAndSearchLoopsAllocateNothing) {
+  // The Monte Carlo engine's steady-state loops: a sorted walk in chunks
+  // with the first solve captured, one ranged starting pass, and the
+  // multi-budget searches (batched and scalar) resumed from it.
+  const auto g =
+      schedgen::build_graph(apps::make_app_trace("hpcg", 8, 0.02));
+  const auto p = loggops::NetworkConfig::cscs_testbed();
+  LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem::Cursor ws;
+  LoweredProblem::BatchCursor bc;
+
+  std::vector<double> xs;
+  for (int i = 0; i < 64; ++i) xs.push_back(p.L + 977.0 * ((i * 37) % 64));
+  std::vector<std::uint32_t> order(xs.size());
+  std::vector<double> sorted(xs.size());
+  std::vector<LoweredProblem::SweepEval> evals(xs.size());
+  std::vector<LoweredProblem::BatchPoint> start(kBatchWidth);
+  constexpr std::size_t kBands = 3;
+  std::vector<double> budgets(kBands * kBatchWidth);
+  std::vector<double> tols(kBands * kBatchWidth);
+  const auto round = [&] {
+    for (std::size_t q = 0; q < order.size(); ++q) {
+      order[q] = static_cast<std::uint32_t>(q);
+    }
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) { return xs[a] < xs[b]; });
+    for (std::size_t q = 0; q < order.size(); ++q) sorted[q] = xs[order[q]];
+    LoweredProblem::BatchPoint first;
+    for (std::size_t c = 0; c < 2; ++c) {
+      const std::size_t lo = c * sorted.size() / 2;
+      const std::size_t hi = (c + 1) * sorted.size() / 2;
+      solver.sweep(0, {sorted.data() + lo, hi - lo}, ws, evals.data() + lo,
+                   nullptr, c == 0 ? &first : nullptr);
+    }
+    for (const std::size_t lanes : {kBatchWidth, std::size_t{5}}) {
+      solver.solve_batch_ranges(0, xs.data(), lanes, bc, start.data());
+      for (std::size_t b = 0; b < kBands; ++b) {
+        for (std::size_t l = 0; l < lanes; ++l) {
+          budgets[b * lanes + l] = start[l].value * (1.01 + 0.02 * b);
+        }
+      }
+      solver.max_param_for_budgets_from_batch(0, xs.data(), start.data(),
+                                              lanes, budgets.data(), kBands,
+                                              bc, tols.data());
+    }
+    solver.max_param_for_budgets_from(0, sorted[0], first,
+                                      {budgets.data(), kBands}, ws,
+                                      tols.data());
+  };
+
+  round();  // warm-up
+  const std::size_t before = g_allocations;
+  for (int i = 0; i < 10; ++i) round();
+  EXPECT_EQ(g_allocations, before)
+      << "steady-state mc walk/search loops allocated on the heap";
 }
 
 TEST(AllocationFree, WorkspaceReuseAcrossSolversOnlyGrows) {

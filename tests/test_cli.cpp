@@ -612,6 +612,32 @@ TEST(CliBatch, UsageErrors) {
   EXPECT_TRUE(empty.out.empty());
 }
 
+TEST(CliSmoke, TopologyErrorsCarryOneSubcommandPrefix) {
+  // Topology errors are reported once, under the subcommand's own prefix
+  // (never "llamp topo: topo: ...").
+  const auto count = [](const std::string& s, const std::string& needle) {
+    std::size_t n = 0;
+    for (auto pos = s.find(needle); pos != std::string::npos;
+         pos = s.find(needle, pos + needle.size())) {
+      ++n;
+    }
+    return n;
+  };
+  const auto topo = run_cli({"topo", "--app=icon", "--ranks=8",
+                             "--scale=0.02", "--ft-radix=0"});
+  EXPECT_EQ(topo.code, 1);
+  EXPECT_EQ(topo.err.rfind("llamp topo: ", 0), 0u) << topo.err;
+  EXPECT_EQ(count(topo.err, "topo:"), 1u) << topo.err;
+  EXPECT_TRUE(contains(topo.err, "fat tree radix")) << topo.err;
+
+  const auto place = run_cli({"place", "--app=icon", "--ranks=8",
+                              "--scale=0.02", "--ft-radix=0"});
+  EXPECT_EQ(place.code, 1);
+  EXPECT_EQ(place.err.rfind("llamp place: ", 0), 0u) << place.err;
+  EXPECT_EQ(count(place.err, "place:"), 1u) << place.err;
+  EXPECT_EQ(count(place.err, "topo:"), 0u) << place.err;
+}
+
 TEST(CliSmoke, AnalysisErrorsReportAndFail) {
   const auto bad_app = run_cli({"analyze", "--app=not-an-app", "--ranks=8"});
   EXPECT_EQ(bad_app.code, 1);

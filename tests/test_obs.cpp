@@ -322,6 +322,39 @@ TEST(ObsEngine, ErrorsAreCountedAndRethrown) {
   EXPECT_EQ(counter_of(json, "engine.errors"), 1u);
 }
 
+TEST(ObsEngine, McWorkCountersRepeatForAFixedRequest) {
+  // mc.anchor_solves / mc.replays / mc.search_passes count the walk and
+  // band-search work of both mc paths; for a fixed request and thread count
+  // they repeat exactly, session after session, and never reach the bytes.
+  const auto run_session = [](std::string& bytes) {
+    api::Engine engine(api::Engine::Options{.threads = 2});
+    api::McRequest req;
+    req.app.app = "hpcg";
+    req.app.ranks = 8;
+    req.app.scale = 0.02;
+    req.grid = {20.0, 3};
+    req.samples = 40;
+    req.sigma_L = 0.1;
+    req.threads = 2;
+    bytes = engine.mc(req).to_json_line();
+    req.samples = 8;
+    req.edge_sigma = 0.003;
+    bytes += engine.mc(req).to_json_line();
+    return engine.metrics_json();
+  };
+  std::string bytes_a;
+  std::string bytes_b;
+  const std::string a = run_session(bytes_a);
+  const std::string b = run_session(bytes_b);
+  EXPECT_EQ(bytes_a, bytes_b);
+  for (const char* name :
+       {"mc.anchor_solves", "mc.replays", "mc.search_passes"}) {
+    EXPECT_EQ(counter_of(a, name), counter_of(b, name)) << name;
+  }
+  EXPECT_GT(counter_of(a, "mc.anchor_solves"), 0u);
+  EXPECT_GT(counter_of(a, "mc.search_passes"), 0u);
+}
+
 TEST(ObsEngine, TracingDoesNotChangeResultBytes) {
   const api::AnalyzeRequest req = small_analyze();
   api::Engine plain(api::Engine::Options{.threads = 1});
@@ -418,6 +451,28 @@ TEST(ObsCli, BatchMetricsFlagGoesToStderrOnly) {
   EXPECT_EQ(plain.out, with_metrics.out);  // responses are byte-identical
   EXPECT_NE(with_metrics.err.find("engine.requests"), std::string::npos);
   EXPECT_NE(with_metrics.err.find("batch.requests"), std::string::npos);
+}
+
+TEST(ObsCli, McResponsesAreByteIdenticalWithMetricsOnAndOff) {
+  const std::string request_path = "test_obs_batch_mc.jsonl";
+  {
+    std::ofstream req(request_path);
+    req << R"({"op": "mc", "app": {"name": "hpcg", "ranks": 8, )"
+        << R"("scale": 0.02}, "samples": 20, "sigma_L": 0.1})" << '\n'
+        << R"({"op": "mc", "app": {"name": "hpcg", "ranks": 8, )"
+        << R"("scale": 0.02}, "samples": 6, "sigma_L": 0.1, )"
+        << R"("edge_sigma": 0.003})" << '\n';
+  }
+  const CliResult plain =
+      run_cli({"batch", "--file", request_path.c_str()});
+  const CliResult with_metrics =
+      run_cli({"batch", "--file", request_path.c_str(), "--metrics"});
+  std::remove(request_path.c_str());
+  ASSERT_EQ(plain.code, 0) << plain.err;
+  ASSERT_EQ(with_metrics.code, 0) << with_metrics.err;
+  EXPECT_EQ(plain.out, with_metrics.out);
+  EXPECT_NE(with_metrics.err.find("mc.anchor_solves"), std::string::npos);
+  EXPECT_NE(with_metrics.err.find("mc.search_passes"), std::string::npos);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -841,6 +842,206 @@ TEST(BatchSolve, ErrorsAndEdgeShapesMatchScalarContracts) {
     EXPECT_DOUBLE_EQ(pts[i].value, std::max(grid[i] + 1'115.0, 1'500.0));
     EXPECT_EQ(pts[i].slope, grid[i] >= 385.0 ? 1.0 : 0.0);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Multi-budget searches: one starting solve serves every budget, and each
+// result is bitwise what an independent max_param_for_budget_from() call
+// returns — error text and the +inf "flat forever" case included.
+// ---------------------------------------------------------------------------
+
+/// Message of the LpError `fn` throws ("" when it returns normally).
+template <typename Fn>
+std::string lp_error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const LpError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Runs the scalar and the batched multi-budget search over lanes
+/// [0, n) for every n in 1..from.size() and compares each result with an
+/// independent scalar call.  budgets[b][i] is lane i's budget b.
+void expect_multi_budget_matches_independent(
+    const LoweredProblem& solver, const std::vector<double>& from,
+    const std::vector<std::vector<double>>& budgets,
+    LoweredProblem::BatchCursor& bc) {
+  const std::size_t nb = budgets.size();
+  std::vector<std::vector<double>> expect(nb,
+                                          std::vector<double>(from.size()));
+  LoweredProblem::Cursor ws;
+  for (std::size_t b = 0; b < nb; ++b) {
+    for (std::size_t i = 0; i < from.size(); ++i) {
+      expect[b][i] =
+          solver.max_param_for_budget_from(0, from[i], budgets[b][i], ws);
+    }
+  }
+  // Scalar form, started from the solve a one-point sweep captures.
+  for (std::size_t i = 0; i < from.size(); ++i) {
+    LoweredProblem::SweepEval eval;
+    LoweredProblem::BatchPoint start;
+    solver.sweep(0, {&from[i], 1}, ws, &eval, nullptr, &start);
+    std::vector<double> lane_budgets(nb);
+    for (std::size_t b = 0; b < nb; ++b) lane_budgets[b] = budgets[b][i];
+    std::vector<double> out(nb);
+    solver.max_param_for_budgets_from(0, from[i], start, lane_budgets, ws,
+                                      out.data());
+    for (std::size_t b = 0; b < nb; ++b) {
+      EXPECT_EQ(out[b], expect[b][i]) << "scalar lane=" << i << " b=" << b;
+    }
+  }
+  // Batched form at every tail width.
+  for (std::size_t n = 1; n <= from.size(); ++n) {
+    std::vector<LoweredProblem::BatchPoint> start(n);
+    solver.solve_batch_ranges(0, from.data(), n, bc, start.data());
+    std::vector<double> flat(nb * n);
+    for (std::size_t b = 0; b < nb; ++b) {
+      for (std::size_t i = 0; i < n; ++i) flat[b * n + i] = budgets[b][i];
+    }
+    std::vector<double> out(nb * n);
+    solver.max_param_for_budgets_from_batch(0, from.data(), start.data(), n,
+                                            flat.data(), nb, bc, out.data());
+    for (std::size_t b = 0; b < nb; ++b) {
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(out[b * n + i], expect[b][i])
+            << "n=" << n << " lane=" << i << " b=" << b;
+      }
+    }
+  }
+}
+
+TEST(MultiBudgetSearch, MatchesIndependentCallsOnAllRegisteredApps) {
+  LoweredProblem::BatchCursor bc;
+  for (const std::string& app : apps::app_names()) {
+    const int ranks = apps::supported_ranks(app, 8);
+    const auto g =
+        schedgen::build_graph(apps::make_app_trace(app, ranks, 0.02));
+    const auto p = loggops::NetworkConfig::cscs_testbed();
+    const LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+    SCOPED_TRACE(app);
+    // 15 anchors (every tail width below a full lane group), budgets from
+    // an exact tie with T(from) to loose, one of them a fixed absolute
+    // budget shared by all lanes.
+    std::vector<double> from;
+    for (int i = 0; i < 15; ++i) from.push_back(p.L * (0.25 + 0.3 * i));
+    std::vector<double> v0(from.size());
+    for (std::size_t i = 0; i < from.size(); ++i) {
+      v0[i] = solver.solve(0, from[i]).value;
+    }
+    std::vector<std::vector<double>> budgets;
+    for (const double pct : {0.0, 1.0, 5.0, 50.0}) {
+      budgets.emplace_back();
+      for (const double v : v0) budgets.back().push_back(v * (1 + pct / 100));
+    }
+    budgets.emplace_back(from.size(),
+                         *std::max_element(v0.begin(), v0.end()) * 1.01);
+    expect_multi_budget_matches_independent(solver, from, budgets, bc);
+  }
+}
+
+TEST(MultiBudgetSearch, KnotTiesViolatedBudgetsAndFlatForever) {
+  // Running example: T(L) = max(L + 1115, 1500), knot at L_c = 385.
+  const auto g = testing::running_example_graph();
+  const auto p = testing::running_example_params();
+  const LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem::BatchCursor bc;
+  LoweredProblem::Cursor ws;
+
+  // Budget 1500 ties the knot from every anchor on the flat piece.
+  expect_multi_budget_matches_independent(
+      solver, {0.0, 100.0, 384.0, 385.0},
+      {{1'500.0, 1'500.0, 1'500.0, 1'500.0},
+       {1'600.0, 1'700.0, 1'800.0, 1'900.0}},
+      bc);
+
+  // A budget below T(from) throws the independent call's exact message,
+  // from both forms, even when an earlier budget is feasible.
+  const double from = 500.0;  // T = 1615
+  const std::vector<double> budgets = {2'000.0, 1'550.0};
+  const std::string expect = lp_error_of(
+      [&] { (void)solver.max_param_for_budget_from(0, from, 1'550.0, ws); });
+  ASSERT_FALSE(expect.empty());
+  LoweredProblem::BatchPoint start;
+  LoweredProblem::SweepEval eval;
+  solver.sweep(0, {&from, 1}, ws, &eval, nullptr, &start);
+  std::vector<double> out(budgets.size());
+  EXPECT_EQ(lp_error_of([&] {
+              solver.max_param_for_budgets_from(0, from, start, budgets, ws,
+                                                out.data());
+            }),
+            expect);
+  EXPECT_EQ(lp_error_of([&] {
+              solver.max_param_for_budgets_from_batch(
+                  0, &from, &start, 1, budgets.data(), budgets.size(), bc,
+                  out.data());
+            }),
+            expect);
+
+  // All-zero edge factors leave T flat in L everywhere: every lane is
+  // "flat forever" and returns +inf, like the independent call.
+  const LoweredProblem flat(
+      g, std::make_shared<PerturbedParamSpace>(
+             std::make_shared<LatencyParamSpace>(p),
+             std::vector<double>(g.num_edges(), 0.0)));
+  const double v = flat.solve(0, 0.0).value;
+  ASSERT_TRUE(std::isinf(flat.max_param_for_budget_from(0, 0.0, v, ws)));
+  expect_multi_budget_matches_independent(
+      flat, {0.0, 500.0, 1e6}, {{v, v, v}, {2 * v, 2 * v, 2 * v}}, bc);
+}
+
+TEST(GraphLayoutSharing, PerturbedLoweringMatchesFreshLowering) {
+  // run_mc's general path lowers every sample over one shared layout; the
+  // result must be the two-argument constructor's, bit for bit, on the
+  // flat lowering (perturbed latency space) and the CSR fallback.
+  for (const char* app : {"hpcg", "lulesh", "milc"}) {
+    const int ranks = apps::supported_ranks(app, 8);
+    const auto g =
+        schedgen::build_graph(apps::make_app_trace(app, ranks, 0.02));
+    const auto p = loggops::NetworkConfig::cscs_testbed();
+    const auto layout = std::make_shared<const GraphLayout>(g);
+    Rng rng(0x1a7u + g.num_edges());
+    std::vector<double> factors(g.num_edges());
+    for (double& f : factors) f = 1.0 + 0.01 * rng.uniform();
+    const std::vector<std::shared_ptr<const ParamSpace>> spaces = {
+        std::make_shared<PerturbedParamSpace>(
+            std::make_shared<LatencyParamSpace>(p), factors),
+        std::make_shared<LatencyBandwidthParamSpace>(p)};
+    for (const auto& space : spaces) {
+      SCOPED_TRACE(app);
+      const LoweredProblem fresh(g, space);
+      const LoweredProblem shared(g, space, layout);
+      EXPECT_EQ(fresh.flat(), shared.flat());
+      LoweredProblem::BatchCursor bc;
+      const auto xs = batch_grid(0.0, p.L + 100'000.0, 9, 0x1a7u);
+      std::vector<LoweredProblem::BatchPoint> a(xs.size());
+      std::vector<LoweredProblem::BatchPoint> b(xs.size());
+      fresh.solve_batch_ranges(0, xs.data(), xs.size(), bc, a.data());
+      shared.solve_batch_ranges(0, xs.data(), xs.size(), bc, b.data());
+      for (std::size_t i = 0; i < xs.size(); ++i) {
+        const auto sf = fresh.solve(0, xs[i]);
+        const auto ss = shared.solve(0, xs[i]);
+        EXPECT_EQ(sf.value, ss.value) << "x=" << xs[i];
+        EXPECT_EQ(sf.gradient, ss.gradient) << "x=" << xs[i];
+        EXPECT_EQ(sf.lo, ss.lo) << "x=" << xs[i];
+        EXPECT_EQ(sf.hi, ss.hi) << "x=" << xs[i];
+        EXPECT_EQ(sf.messages, ss.messages) << "x=" << xs[i];
+        EXPECT_EQ(a[i].value, b[i].value) << "x=" << xs[i];
+        EXPECT_EQ(a[i].lo, b[i].lo) << "x=" << xs[i];
+        EXPECT_EQ(a[i].hi, b[i].hi) << "x=" << xs[i];
+      }
+    }
+  }
+  // A layout of another graph is refused.
+  const auto g = testing::running_example_graph();
+  const auto other = testing::running_example_graph();
+  EXPECT_THROW(
+      LoweredProblem(g,
+                     std::make_shared<LatencyParamSpace>(
+                         testing::running_example_params()),
+                     std::make_shared<const GraphLayout>(other)),
+      LpError);
 }
 
 TEST(SegmentWalk, RunningExampleAnchorsOncePerPiece) {

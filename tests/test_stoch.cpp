@@ -316,58 +316,127 @@ TEST(StochMc, ThreadCountNeverChangesTheResult) {
   }
 }
 
-TEST(StochMc, BatchKnobNeverChangesTheResult) {
-  // spec.batch is a performance knob, never a semantics knob: an L-only
-  // run takes the lane-batched fast path when it is on and the per-sample
-  // scalar fast path when it is off, and every summary must agree bitwise
-  // — at several thread counts, and at a sample count (43) that exercises
-  // full groups of lp::kBatchWidth plus a ragged tail of sub-blocks.
+/// The per-sample oracle of run_mc: sample i draws from
+/// Rng(sample_seed(seed, i)) in the engine's order (L, o, G, edge
+/// factors), lowers its own space, and evaluates every grid point by a
+/// dense solve() and every band by its own max_param_for_budget_from()
+/// call — no walk, no batching, no shared starting solve.
+stoch::McResult oracle_mc(const graph::Graph& g, const loggops::Params& p,
+                          const stoch::McSpec& spec) {
+  stoch::McResult res;
+  res.runtime.resize(spec.delta_Ls.size());
+  res.bands.resize(spec.band_percents.size());
+  for (int i = 0; i < spec.samples; ++i) {
+    Rng rng(stoch::sample_seed(spec.seed, static_cast<std::uint64_t>(i)));
+    loggops::Params q = p;
+    q.L = spec.L.sample(rng, p.L);
+    q.o = spec.o.sample(rng, p.o);
+    q.G = spec.G.sample(rng, p.G);
+    std::shared_ptr<const lp::ParamSpace> space =
+        std::make_shared<lp::LatencyParamSpace>(q);
+    if (!spec.noise.degenerate()) {
+      std::vector<double> factors(g.num_edges());
+      for (double& f : factors) f = spec.noise.factor(rng);
+      space = std::make_shared<lp::PerturbedParamSpace>(space, factors);
+    }
+    const lp::LoweredProblem solver(g, space);
+    for (std::size_t k = 0; k < spec.delta_Ls.size(); ++k) {
+      res.runtime[k].add(solver.solve(0, q.L + spec.delta_Ls[k]).value);
+    }
+    const double x0 = q.L + spec.delta_Ls[0];
+    const auto s0 = solver.solve(0, x0);
+    res.lambda_L.add(s0.gradient[0]);
+    res.rho_L.add(s0.value > 0.0 ? x0 * s0.gradient[0] / s0.value : 0.0);
+    for (std::size_t b = 0; b < spec.band_percents.size(); ++b) {
+      lp::LoweredProblem::Cursor ws;
+      const double tol = solver.max_param_for_budget_from(
+          0, x0, s0.value * (1.0 + spec.band_percents[b] / 100.0), ws);
+      res.bands[b].tolerance_delta.add(std::isfinite(tol) ? tol - x0 : tol);
+    }
+  }
+  return res;
+}
+
+void expect_results_equal(const stoch::McResult& a, const stoch::McResult& b) {
+  ASSERT_EQ(a.runtime.size(), b.runtime.size());
+  for (std::size_t i = 0; i < a.runtime.size(); ++i) {
+    expect_summaries_equal(a.runtime[i], b.runtime[i]);
+  }
+  expect_summaries_equal(a.lambda_L, b.lambda_L);
+  expect_summaries_equal(a.rho_L, b.rho_L);
+  ASSERT_EQ(a.bands.size(), b.bands.size());
+  for (std::size_t i = 0; i < a.bands.size(); ++i) {
+    expect_summaries_equal(a.bands[i].tolerance_delta,
+                           b.bands[i].tolerance_delta);
+  }
+}
+
+TEST(StochMc, FastPathMatchesPerSampleOracle) {
+  // An L-only run takes the fast path: one sorted walk over every sample's
+  // grid points, chunked across workers, then lockstep band searches from
+  // one shared starting pass.  Every summary must equal the per-sample
+  // oracle bitwise — at several thread counts (different chunkings), at a
+  // sample count (43) that leaves a ragged lane-group tail, and on a grid
+  // given out of order.
   const auto g = small_app_graph();
   const auto p = test_params();
   stoch::McSpec spec;
   spec.samples = 43;
   spec.seed = 11;
   spec.L = stoch::Distribution::rel_normal(0.05);
-  spec.delta_Ls = {0.0, 20'000.0};
-  spec.band_percents = {1.0, 5.0};
-
-  spec.batch = false;
-  const auto scalar = stoch::run_mc(g, p, spec);
-  EXPECT_FALSE(scalar.batched);
-  EXPECT_EQ(scalar.batch_width, static_cast<int>(lp::kBatchWidth));
-
-  for (const int threads : {1, 8}) {
-    spec.batch = true;
-    spec.threads = threads;
-    const auto batched = stoch::run_mc(g, p, spec);
-    EXPECT_TRUE(batched.batched);
-    EXPECT_EQ(batched.batch_width, static_cast<int>(lp::kBatchWidth));
-    ASSERT_EQ(batched.runtime.size(), scalar.runtime.size());
-    for (std::size_t i = 0; i < scalar.runtime.size(); ++i) {
-      expect_summaries_equal(batched.runtime[i], scalar.runtime[i]);
-    }
-    expect_summaries_equal(batched.lambda_L, scalar.lambda_L);
-    expect_summaries_equal(batched.rho_L, scalar.rho_L);
-    ASSERT_EQ(batched.bands.size(), scalar.bands.size());
-    for (std::size_t b = 0; b < scalar.bands.size(); ++b) {
-      expect_summaries_equal(batched.bands[b].tolerance_delta,
-                             scalar.bands[b].tolerance_delta);
+  spec.band_percents = {1.0, 5.0, 0.0};
+  for (const auto& grid : {std::vector<TimeNs>{0.0, 5'000.0, 20'000.0},
+                           std::vector<TimeNs>{20'000.0, 0.0, 5'000.0}}) {
+    spec.delta_Ls = grid;
+    const auto oracle = oracle_mc(g, p, spec);
+    for (const int threads : {1, 2, 8}) {
+      SCOPED_TRACE(threads);
+      spec.threads = threads;
+      const auto res = stoch::run_mc(g, p, spec);
+      EXPECT_TRUE(res.batched);
+      EXPECT_EQ(res.batch_width, static_cast<int>(lp::kBatchWidth));
+      expect_results_equal(res, oracle);
     }
   }
 }
 
-TEST(StochMc, GeneralPathIgnoresTheBatchKnob) {
-  // Per-edge noise forces a fresh perturbed lowering per sample — there is
-  // no shared operating point to batch over, so the knob is ignored and
-  // the result records that no batching happened.
+TEST(StochMc, GeneralPathMatchesPerSampleOracle) {
+  // Edge noise lowers one perturbed problem per sample over the run's
+  // shared graph layout; its walk's first solve starts every band search.
+  // An out-of-order grid forces the separate starting solve instead.
   const auto g = small_app_graph();
   const auto p = test_params();
   auto spec = noisy_spec();
-  spec.samples = 8;
-  spec.batch = true;
-  const auto res = stoch::run_mc(g, p, spec);
-  EXPECT_FALSE(res.batched);
-  EXPECT_EQ(res.batch_width, static_cast<int>(lp::kBatchWidth));
+  spec.samples = 12;
+  for (const auto& grid : {std::vector<TimeNs>{0.0, 20'000.0},
+                           std::vector<TimeNs>{20'000.0, 0.0}}) {
+    spec.delta_Ls = grid;
+    const auto oracle = oracle_mc(g, p, spec);
+    for (const int threads : {1, 2}) {
+      SCOPED_TRACE(threads);
+      spec.threads = threads;
+      const auto res = stoch::run_mc(g, p, spec);
+      EXPECT_FALSE(res.batched);
+      expect_results_equal(res, oracle);
+    }
+  }
+}
+
+TEST(StochMc, WorkCountersRepeatForAFixedRequest) {
+  const auto g = small_app_graph();
+  const auto p = test_params();
+  for (auto spec : {degenerate_spec(), noisy_spec()}) {
+    spec.samples = 24;
+    spec.L = stoch::Distribution::rel_normal(0.05);
+    spec.threads = 2;
+    const auto a = stoch::run_mc(g, p, spec);
+    const auto b = stoch::run_mc(g, p, spec);
+    EXPECT_GT(a.anchor_solves, 0u);
+    EXPECT_GT(a.search_passes, 0u);
+    EXPECT_EQ(a.anchor_solves, b.anchor_solves);
+    EXPECT_EQ(a.replays, b.replays);
+    EXPECT_EQ(a.search_passes, b.search_passes);
+  }
 }
 
 TEST(StochMc, SeedSelectsTheNoise) {
