@@ -114,17 +114,19 @@ struct CsrLaneCost {
 
 }  // namespace
 
-void LoweredProblem::prepare_batch(BatchCursor& cur) const {
+void LoweredProblem::prepare_batch(BatchCursor& cur, std::size_t width) const {
   // Same policy as prepare(): the pass writes every row before reading it,
   // so rows are resized without clearing; buffers only grow across
   // problems, and steady state never allocates (test_alloc_free pins this).
-  const std::size_t rows = g_.num_vertices() * kBatchWidth;
+  // Rows are `width` lanes wide — the widest sub-block the call runs — so
+  // a cursor that only ever serves narrow calls stays narrow.
+  const std::size_t rows = g_.num_vertices() * width;
   if (cur.finish_.size() < rows) {
     cur.finish_.resize(rows);
     cur.slope_.resize(rows);
   }
   const std::size_t cands =
-      static_cast<std::size_t>(layout_->max_in_degree) * kBatchWidth;
+      static_cast<std::size_t>(layout_->max_in_degree) * width;
   if (cur.cand_val_.size() < cands) {
     cur.cand_val_.resize(cands);
     cur.cand_slope_.resize(cands);
@@ -309,7 +311,13 @@ void LoweredProblem::solve_batch_impl(int active, const double* xs,
   }
   if (n == 0) return;
   if (layout_->sink_pos.empty()) throw LpError("graph has no sink vertex");
-  prepare_batch(cur);
+  // Lanes run in full blocks, then last_pow2-sized tail sub-blocks; the
+  // first block is the widest.
+  const auto block_width = [](std::size_t rem) {
+    return rem >= kBatchWidth ? kBatchWidth
+                              : static_cast<std::size_t>(util::last_pow2(rem));
+  };
+  prepare_batch(cur, block_width(n));
 
   const auto run = [&](auto wc, std::size_t i) {
     constexpr std::size_t W = decltype(wc)::value;
@@ -331,10 +339,7 @@ void LoweredProblem::solve_batch_impl(int active, const double* xs,
                 "tail dispatch below enumerates pow2 widths <= kBatchWidth");
   std::size_t i = 0;
   while (i < n) {
-    const std::size_t rem = n - i;
-    const std::size_t w = rem >= kBatchWidth
-                              ? kBatchWidth
-                              : static_cast<std::size_t>(util::last_pow2(rem));
+    const std::size_t w = block_width(n - i);
     if (w == kBatchWidth) {
       run(std::integral_constant<std::size_t, kBatchWidth>{}, i);
     } else if (w == 8) {
@@ -359,27 +364,6 @@ void LoweredProblem::solve_batch_ranges(int active, const double* xs,
                                         std::size_t n, BatchCursor& cur,
                                         BatchPoint* out) const {
   solve_batch_impl<true>(active, xs, n, cur, out);
-}
-
-void LoweredProblem::max_param_for_budget_from_batch(int k, const double* from,
-                                                     const double* budget,
-                                                     std::size_t n,
-                                                     BatchCursor& cur,
-                                                     double* out) const {
-  if (k < 0 || k >= num_params_) {
-    throw LpError("tolerance: parameter out of range");
-  }
-  if (cur.search_start_.size() < kBatchWidth) {
-    cur.search_start_.resize(kBatchWidth);
-  }
-  // One group at a time, so an infeasible lane throws only after every
-  // earlier group has finished — the scalar calls' order.
-  for (std::size_t g0 = 0; g0 < n; g0 += kBatchWidth) {
-    const std::size_t w = std::min(n - g0, kBatchWidth);
-    solve_batch_ranges(k, from + g0, w, cur, cur.search_start_.data());
-    max_param_for_budgets_from_batch(k, from + g0, cur.search_start_.data(),
-                                     w, budget + g0, 1, cur, out + g0);
-  }
 }
 
 std::size_t LoweredProblem::max_param_for_budgets_from_batch(

@@ -470,8 +470,7 @@ LoweredProblem::Solution LoweredProblem::solve() const {
 
 // llamp-lint: hot-path begin
 void LoweredProblem::sweep(int k, std::span<const double> xs, Cursor& cur,
-                           SweepEval* out, SweepStats* stats,
-                           BatchPoint* first) const {
+                           SweepEval* out, SweepStats* stats) const {
   if (k < 0 || k >= num_params_) {
     throw LpError("parametric: active parameter out of range");
   }
@@ -495,10 +494,8 @@ void LoweredProblem::sweep(int k, std::span<const double> xs, Cursor& cur,
     } else {
       ++local.anchor_solves;
       solve_into(k, x, cur);
-      const double slope = sol.gradient[static_cast<std::size_t>(k)];
-      if (first != nullptr && !have) *first = {sol.value, slope, sol.lo, sol.hi};
       have = true;
-      out[i] = {x, sol.value, slope};
+      out[i] = {x, sol.value, sol.gradient[static_cast<std::size_t>(k)]};
     }
   }
   if (stats) *stats = local;

@@ -194,16 +194,16 @@ class LoweredProblem {
 
    private:
     friend class LoweredProblem;
-    std::vector<double> finish_;  ///< num_vertices x kBatchWidth, SoA
+    std::vector<double> finish_;  ///< num_vertices x width, SoA
     std::vector<double> slope_;
     /// Candidate rows of the vertex currently being maximized (range
-    /// variant only): max_in_degree x kBatchWidth values and slopes.
+    /// variant only): max_in_degree x width values and slopes.
     std::vector<double> cand_val_;
     std::vector<double> cand_slope_;
-    /// Lockstep budget-search lane state (max_param_for_budget_from_batch).
+    /// Lockstep budget-search lane state
+    /// (max_param_for_budgets_from_batch).
     std::vector<double> search_x_;
     std::vector<BatchPoint> search_pts_;
-    std::vector<BatchPoint> search_start_;
   };
 
   /// Batched forward pass: evaluate parameter `active` at xs[0..n) — one
@@ -227,25 +227,18 @@ class LoweredProblem {
   void solve_batch_ranges(int active, const double* xs, std::size_t n,
                           BatchCursor& cur, BatchPoint* out) const;
 
-  /// Lockstep batched tolerance search: out[i] is bitwise identical to
-  /// max_param_for_budget_from(k, from[i], budget[i], cur) for every lane,
-  /// including the boundary clamps and the LpError conditions (an
-  /// infeasible lane throws exactly the scalar error, lowest lane first).
-  /// Lanes iterate the scalar bracketed-Newton logic in lockstep, each
-  /// iteration served by one ranged batch pass, so a block of n searches
-  /// costs max-lane-iterations passes instead of sum-over-lanes solves.
-  void max_param_for_budget_from_batch(int k, const double* from,
-                                       const double* budget, std::size_t n,
-                                       BatchCursor& cur, double* out) const;
-
-  /// Multi-budget lockstep search from given starting solves: for every
-  /// lane i < n and budget b < nb, out[b * n + i] is bitwise identical to
-  /// max_param_for_budget_from(k, from[i], budgets[b * n + i], cur), where
-  /// start[i] must be solve_batch_ranges' lane at from[i] (or any producer
-  /// bitwise equal to it).  The starting pass therefore runs once per lane
-  /// instead of once per (lane, budget).  Infeasibility throws the LpError
-  /// the first failing independent call (budget-major, lowest lane first)
-  /// would throw.  Returns the number of ranged batch passes run; steady
+  /// Lockstep batched tolerance search from given starting solves: for
+  /// every lane i < n and budget b < nb, out[b * n + i] is bitwise
+  /// identical to max_param_for_budget_from(k, from[i], budgets[b * n + i],
+  /// cur), boundary clamps included, where start[i] must be
+  /// solve_batch_ranges' lane at from[i] (or any producer bitwise equal to
+  /// it) — so the starting pass runs once per lane, not once per (lane,
+  /// budget).  Infeasibility throws the LpError the first failing
+  /// independent call (budget-major, lowest lane first) would throw.  The
+  /// (budget, lane) searches iterate the scalar bracketed-Newton logic in
+  /// lockstep, kBatchWidth at a time, each round served by one ranged
+  /// batch pass: a group costs max-lane-iterations passes instead of
+  /// sum-over-lanes solves.  Returns the number of passes run; steady
   /// state allocates nothing.
   std::size_t max_param_for_budgets_from_batch(int k, const double* from,
                                                const BatchPoint* start,
@@ -321,8 +314,8 @@ class LoweredProblem {
                                    Cursor& cur) const;
   /// The same search for several budgets from one starting solve:
   /// out[b] is bitwise max_param_for_budget_from(k, from, budgets[b], cur),
-  /// where `start` must be the solve at `from` (value, slope, lo, hi — as
-  /// sweep() captures it), so that solve is not repeated per budget.
+  /// where `start` must be the solve at `from` (value, gradient[k], lo,
+  /// hi), so that solve is not repeated per budget.
   /// Infeasibility throws the LpError the first failing independent call
   /// would throw.  Returns the number of solves run.
   std::size_t max_param_for_budgets_from(int k, double from,
@@ -355,12 +348,9 @@ class LoweredProblem {
   /// (Near-ties split the λ-segments of piecewise() into finer basis
   /// pieces, so the pass count lies between the segment count and the point
   /// count.)  Writes xs.size() entries to `out`.  Throws LpError on
-  /// descending xs.  The first point is always a dense solve; when `first`
-  /// is non-null it receives that solve with its feasibility range (the
-  /// starting solve max_param_for_budgets_from takes).
+  /// descending xs.
   void sweep(int k, std::span<const double> xs, Cursor& cur,
-             SweepEval* out, SweepStats* stats = nullptr,
-             BatchPoint* first = nullptr) const;
+             SweepEval* out, SweepStats* stats = nullptr) const;
   std::vector<SweepEval> sweep(int k, std::span<const double> xs) const;
 
   /// A detached snapshot of one anchor solve: the solution, the critical
@@ -411,7 +401,7 @@ class LoweredProblem {
   template <bool Range>
   void solve_batch_impl(int active, const double* xs, std::size_t n,
                         BatchCursor& cur, BatchPoint* out) const;
-  void prepare_batch(BatchCursor& cur) const;
+  void prepare_batch(BatchCursor& cur, std::size_t width) const;
   /// Dense solve into cur (solution, chain, stability bound).
   void solve_into(int active, double value, Cursor& cur) const;
   /// The bracketed-Newton iteration of max_param_for_budget_from after its

@@ -31,12 +31,10 @@ constexpr std::size_t kBlock = 1024;
 struct WorkerScratch {
   lp::LoweredProblem::Cursor ws;
   lp::LoweredProblem::BatchCursor bc;
-  // General path: one sample's grid points, in grid and in walk order.
+  // General path: one sample's grid points, edge factors and batch lanes.
   std::vector<double> xs;
-  std::vector<std::uint32_t> order;
-  std::vector<double> sorted;
-  std::vector<lp::LoweredProblem::SweepEval> evals;
   std::vector<double> factors;
+  std::vector<lp::LoweredProblem::BatchPoint> pts;
   // Band searches: per (band, lane) budgets and tolerances; the fast path
   // also keeps one lane group's anchors and starting solves.
   std::vector<double> budgets;
@@ -196,9 +194,7 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
       s.lane_start.resize(lp::kBatchWidth);
     } else {
       s.xs.resize(npts);
-      s.order.resize(npts);
-      s.sorted.resize(npts);
-      s.evals.resize(npts);
+      s.pts.resize(npts - 1);
       s.budgets.resize(nbands);
       s.tols.resize(nbands);
     }
@@ -356,36 +352,32 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
       // llamp-lint: hot-path begin
       // Steady state: every per-sample evaluation below runs against
       // preallocated per-worker scratch; only the lowering above
-      // allocates.  One walk over the sample's points in ascending order;
-      // its first solve, with its range, starts every band search when it
-      // sits at the anchor L + ΔL_0 (always, for an ascending grid).
+      // allocates.  The anchor L + ΔL_0 gets the one dense solve with its
+      // range: λ_L, ρ_L and the starting solve of every band search.  The
+      // other grid points need only T, so they share one plain batch pass
+      // over this sample's problem (its lanes are grid points, not
+      // samples: no per-lane cost arrays).  A segment walk would rarely
+      // replay here — per-edge noise cuts T into pieces narrower than the
+      // grid spacing.
       for (std::size_t k = 0; k < npts; ++k) {
         sc.xs[k] = p.L + spec.delta_Ls[k];
       }
-      sort_points(sc.xs, sc.order, sc.sorted);
-      lp::LoweredProblem::SweepStats st;
-      lp::LoweredProblem::BatchPoint start;
-      solver.sweep(0, sc.sorted, sc.ws, sc.evals.data(), &st, &start);
-      sc.anchor_solves += st.anchor_solves;
-      sc.replays += st.replays;
+      const auto& s0 = solver.solve(0, sc.xs[0], sc.ws);
+      const lp::LoweredProblem::BatchPoint start{s0.value, s0.gradient[0],
+                                                 s0.lo, s0.hi};
+      solver.solve_batch(0, sc.xs.data() + 1, npts - 1, sc.bc,
+                         sc.pts.data());
+      sc.anchor_solves += npts;
 
       double* out = buffer.data() + j * stride;
-      double lambda0 = 0.0;
-      for (std::size_t q = 0; q < npts; ++q) {
-        out[sc.order[q]] = sc.evals[q].value;
-        if (sc.order[q] == 0) lambda0 = sc.evals[q].slope;
-      }
-      const double value0 = out[0];
-      out[npts] = lambda0;
-      out[npts + 1] = value0 > 0.0 ? sc.xs[0] * lambda0 / value0 : 0.0;
+      out[0] = start.value;
+      for (std::size_t k = 1; k < npts; ++k) out[k] = sc.pts[k - 1].value;
+      out[npts] = start.slope;
+      out[npts + 1] =
+          start.value > 0.0 ? sc.xs[0] * start.slope / start.value : 0.0;
       if (nbands > 0) {
-        if (sc.sorted[0] != sc.xs[0]) {
-          const auto& s0 = solver.solve(0, sc.xs[0], sc.ws);
-          start = {s0.value, s0.gradient[0], s0.lo, s0.hi};
-          ++sc.search_passes;
-        }
         for (std::size_t b = 0; b < nbands; ++b) {
-          sc.budgets[b] = value0 * (1.0 + spec.band_percents[b] / 100.0);
+          sc.budgets[b] = start.value * (1.0 + spec.band_percents[b] / 100.0);
         }
         sc.search_passes += solver.max_param_for_budgets_from(
             0, sc.xs[0], start, sc.budgets, sc.ws, sc.tols.data());

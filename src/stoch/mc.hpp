@@ -92,10 +92,12 @@ struct McResult {
   bool batched = false;
   int batch_width = 0;
   /// Work counters of the run (observability only; never serialized).
-  /// They depend on the spec and the worker count alone: anchor solves and
-  /// replays of the ΔL-grid walks, and the passes (ranged batch passes on
-  /// the fast path, dense solves on the general path) the band searches
-  /// ran beyond the walks.
+  /// They depend on the spec and the worker count alone: ΔL-grid points
+  /// evaluated by a forward pass (the fast path's walk anchors; every
+  /// point on the general path) or by chain replay (the walk's other
+  /// points), and the passes the band searches ran from their starting
+  /// solves (ranged batch passes on the fast path, starting passes
+  /// included; dense solves on the general path).
   std::uint64_t anchor_solves = 0;
   std::uint64_t replays = 0;
   std::uint64_t search_passes = 0;

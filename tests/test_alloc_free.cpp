@@ -101,6 +101,7 @@ TEST(AllocationFree, BatchSolvesAllocateNothingAfterWarmup) {
   std::vector<double> from(xs.size(), p.L);
   std::vector<double> budgets(xs.size());
   std::vector<double> tols(xs.size());
+  std::vector<LoweredProblem::BatchPoint> starts(xs.size());
   const double v0 = solver.solve(0, p.L).value;
   for (std::size_t l = 0; l < xs.size(); ++l) {
     budgets[l] = v0 * (1.02 + 0.01 * static_cast<double>(l));
@@ -109,8 +110,10 @@ TEST(AllocationFree, BatchSolvesAllocateNothingAfterWarmup) {
   // Warm-up: one call per entry point grows every lane buffer.
   solver.solve_batch(0, xs.data(), xs.size(), bc, pts.data());
   solver.solve_batch_ranges(0, xs.data(), xs.size(), bc, pts.data());
-  solver.max_param_for_budget_from_batch(0, from.data(), budgets.data(),
-                                         xs.size(), bc, tols.data());
+  solver.solve_batch_ranges(0, from.data(), from.size(), bc, starts.data());
+  solver.max_param_for_budgets_from_batch(0, from.data(), starts.data(),
+                                          xs.size(), budgets.data(), 1, bc,
+                                          tols.data());
 
   const std::size_t before = g_allocations;
   for (int round = 0; round < 20; ++round) {
@@ -120,17 +123,22 @@ TEST(AllocationFree, BatchSolvesAllocateNothingAfterWarmup) {
       solver.solve_batch_ranges(0, xs.data(), n, bc, pts.data());
       ASSERT_GT(pts[0].value, 0.0);
     }
-    solver.max_param_for_budget_from_batch(0, from.data(), budgets.data(),
-                                           xs.size(), bc, tols.data());
+    solver.solve_batch_ranges(0, from.data(), from.size(), bc,
+                              starts.data());
+    solver.max_param_for_budgets_from_batch(0, from.data(), starts.data(),
+                                            xs.size(), budgets.data(), 1, bc,
+                                            tols.data());
   }
   EXPECT_EQ(g_allocations, before)
       << "steady-state batch kernel allocated on the heap";
 }
 
 TEST(AllocationFree, McWalkAndSearchLoopsAllocateNothing) {
-  // The Monte Carlo engine's steady-state loops: a sorted walk in chunks
-  // with the first solve captured, one ranged starting pass, and the
-  // multi-budget searches (batched and scalar) resumed from it.
+  // The Monte Carlo engine's steady-state loops: a sorted walk in chunks,
+  // one ranged starting pass and the batched multi-budget search resumed
+  // from it (fast path); a dense anchor solve, one plain batch pass over
+  // the other grid points and the scalar multi-budget search (general
+  // path).
   const auto g =
       schedgen::build_graph(apps::make_app_trace("hpcg", 8, 0.02));
   const auto p = loggops::NetworkConfig::cscs_testbed();
@@ -154,12 +162,10 @@ TEST(AllocationFree, McWalkAndSearchLoopsAllocateNothing) {
     std::sort(order.begin(), order.end(),
               [&](std::uint32_t a, std::uint32_t b) { return xs[a] < xs[b]; });
     for (std::size_t q = 0; q < order.size(); ++q) sorted[q] = xs[order[q]];
-    LoweredProblem::BatchPoint first;
     for (std::size_t c = 0; c < 2; ++c) {
       const std::size_t lo = c * sorted.size() / 2;
       const std::size_t hi = (c + 1) * sorted.size() / 2;
-      solver.sweep(0, {sorted.data() + lo, hi - lo}, ws, evals.data() + lo,
-                   nullptr, c == 0 ? &first : nullptr);
+      solver.sweep(0, {sorted.data() + lo, hi - lo}, ws, evals.data() + lo);
     }
     for (const std::size_t lanes : {kBatchWidth, std::size_t{5}}) {
       solver.solve_batch_ranges(0, xs.data(), lanes, bc, start.data());
@@ -172,7 +178,11 @@ TEST(AllocationFree, McWalkAndSearchLoopsAllocateNothing) {
                                               lanes, budgets.data(), kBands,
                                               bc, tols.data());
     }
-    solver.max_param_for_budgets_from(0, sorted[0], first,
+    const auto& s0 = solver.solve(0, xs[0], ws);
+    const LoweredProblem::BatchPoint first{s0.value, s0.gradient[0], s0.lo,
+                                           s0.hi};
+    solver.solve_batch(0, xs.data() + 1, 10, bc, start.data());
+    solver.max_param_for_budgets_from(0, xs[0], first,
                                       {budgets.data(), kBands}, ws,
                                       tols.data());
   };

@@ -801,8 +801,11 @@ TEST_P(RandomConfigTest, BatchBudgetSearchBitwiseMatchesScalar) {
   }
   std::vector<double> batch(from.size());
   LoweredProblem::BatchCursor bc;
-  solver.max_param_for_budget_from_batch(0, from.data(), budget.data(),
-                                         from.size(), bc, batch.data());
+  std::vector<LoweredProblem::BatchPoint> start(from.size());
+  solver.solve_batch_ranges(0, from.data(), from.size(), bc, start.data());
+  solver.max_param_for_budgets_from_batch(0, from.data(), start.data(),
+                                          from.size(), budget.data(), 1, bc,
+                                          batch.data());
   for (std::size_t i = 0; i < from.size(); ++i) {
     LoweredProblem::Cursor ws;
     EXPECT_EQ(batch[i],
@@ -828,9 +831,11 @@ TEST(BatchSolve, ErrorsAndEdgeShapesMatchScalarContracts) {
   std::vector<double> from = {500.0, 500.0};
   std::vector<double> budget = {2'000.0, 1'550.0};
   std::vector<double> tol(from.size());
-  EXPECT_THROW(solver.max_param_for_budget_from_batch(
-                   0, from.data(), budget.data(), from.size(), bc,
-                   tol.data()),
+  std::vector<LoweredProblem::BatchPoint> start(from.size());
+  solver.solve_batch_ranges(0, from.data(), from.size(), bc, start.data());
+  EXPECT_THROW(solver.max_param_for_budgets_from_batch(
+                   0, from.data(), start.data(), from.size(), budget.data(),
+                   1, bc, tol.data()),
                LpError);
   // The paper's running example through the batch path: T(L) numbers of
   // Fig. 4c at block width and off it.
@@ -878,11 +883,11 @@ void expect_multi_budget_matches_independent(
           solver.max_param_for_budget_from(0, from[i], budgets[b][i], ws);
     }
   }
-  // Scalar form, started from the solve a one-point sweep captures.
+  // Scalar form, started from one dense solve at the anchor.
   for (std::size_t i = 0; i < from.size(); ++i) {
-    LoweredProblem::SweepEval eval;
-    LoweredProblem::BatchPoint start;
-    solver.sweep(0, {&from[i], 1}, ws, &eval, nullptr, &start);
+    const auto& s = solver.solve(0, from[i], ws);
+    const LoweredProblem::BatchPoint start{s.value, s.gradient[0], s.lo,
+                                           s.hi};
     std::vector<double> lane_budgets(nb);
     for (std::size_t b = 0; b < nb; ++b) lane_budgets[b] = budgets[b][i];
     std::vector<double> out(nb);
@@ -963,9 +968,8 @@ TEST(MultiBudgetSearch, KnotTiesViolatedBudgetsAndFlatForever) {
   const std::string expect = lp_error_of(
       [&] { (void)solver.max_param_for_budget_from(0, from, 1'550.0, ws); });
   ASSERT_FALSE(expect.empty());
-  LoweredProblem::BatchPoint start;
-  LoweredProblem::SweepEval eval;
-  solver.sweep(0, {&from, 1}, ws, &eval, nullptr, &start);
+  const auto& s = solver.solve(0, from, ws);
+  const LoweredProblem::BatchPoint start{s.value, s.gradient[0], s.lo, s.hi};
   std::vector<double> out(budgets.size());
   EXPECT_EQ(lp_error_of([&] {
               solver.max_param_for_budgets_from(0, from, start, budgets, ws,
