@@ -141,8 +141,6 @@ LoweredProblem::LoweredProblem(const graph::Graph& g,
   edge_const_.reserve(ne);
   term_offsets_.reserve(ne + 1);
   term_offsets_.push_back(0);
-  term_param_.reserve(ne);
-  term_coeff_.reserve(ne);
   bool one_term_per_edge = true;
   Affine a;
   for (const graph::Edge& e : edges) {

@@ -181,10 +181,11 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
   const std::size_t block = std::min(total, kBlock);
   std::vector<double> buffer(block * stride);
 
-  const std::size_t ngroups = (block + lp::kBatchWidth - 1) / lp::kBatchWidth;
+  // The widest loop decides the slots: the fast path's walk chunks over
+  // block * npts points (its lane-group loop has fewer indices), the
+  // general path's samples.
   const int nworkers = effective_threads(
-      shared_solver_path ? std::max(block * npts, ngroups) : block,
-      spec.threads);
+      shared_solver_path ? block * npts : block, spec.threads);
   std::vector<WorkerScratch> scratch(static_cast<std::size_t>(nworkers));
   for (WorkerScratch& s : scratch) {
     if (shared_solver_path) {
@@ -205,13 +206,11 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
   std::vector<std::uint32_t> order;
   std::vector<double> sorted;
   std::vector<lp::LoweredProblem::SweepEval> evals;
-  std::vector<double> slope0;
   if (shared_solver_path) {
     points.resize(block * npts);
     order.resize(block * npts);
     sorted.resize(block * npts);
     evals.resize(block * npts);
-    slope0.resize(block);
   }
 
   McResult res;
@@ -277,23 +276,19 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
         const std::size_t j = order[q] / npts;
         const std::size_t k = order[q] % npts;
         buffer[j * stride + k] = evals[q].value;
-        if (k == 0) slope0[j] = evals[q].slope;
+        if (k == 0) buffer[j * stride + npts] = evals[q].slope;  // λ_L
       }
       for (std::size_t j = 0; j < bn; ++j) {
         double* out = buffer.data() + j * stride;
         const double value0 = out[0];
-        out[npts] = slope0[j];
         out[npts + 1] =
-            value0 > 0.0 ? points[j * npts] * slope0[j] / value0 : 0.0;
-      }
-      if (nbands == 0) {
-        fold_block(bn);
-        continue;
+            value0 > 0.0 ? points[j * npts] * out[npts] / value0 : 0.0;
       }
       // Band searches, one lane group of samples at a time: one ranged
       // pass at the anchors L_j + ΔL_0 is the starting solve every band's
       // lockstep search resumes from.
-      const std::size_t groups = (bn + lp::kBatchWidth - 1) / lp::kBatchWidth;
+      const std::size_t groups =
+          nbands == 0 ? 0 : (bn + lp::kBatchWidth - 1) / lp::kBatchWidth;
       parallel_for(groups, spec.threads, [&](int w, std::size_t gi) {
         WorkerScratch& sc = scratch[static_cast<std::size_t>(w)];
         const std::size_t g0 = gi * lp::kBatchWidth;

@@ -402,14 +402,16 @@ TEST(StochMc, FastPathMatchesPerSampleOracle) {
 
 TEST(StochMc, GeneralPathMatchesPerSampleOracle) {
   // Edge noise lowers one perturbed problem per sample over the run's
-  // shared graph layout; its walk's first solve starts every band search.
-  // An out-of-order grid forces the separate starting solve instead.
+  // shared graph layout: a dense solve at the anchor (λ_L, ρ_L and the
+  // start of every band search), one plain batch pass over the other grid
+  // points — ascending or not.
   const auto g = small_app_graph();
   const auto p = test_params();
   auto spec = noisy_spec();
   spec.samples = 12;
-  for (const auto& grid : {std::vector<TimeNs>{0.0, 20'000.0},
-                           std::vector<TimeNs>{20'000.0, 0.0}}) {
+  for (const auto& grid :
+       {std::vector<TimeNs>{0.0, 5'000.0, 20'000.0, 40'000.0},
+        std::vector<TimeNs>{20'000.0, 0.0, 5'000.0}}) {
     spec.delta_Ls = grid;
     const auto oracle = oracle_mc(g, p, spec);
     for (const int threads : {1, 2}) {
