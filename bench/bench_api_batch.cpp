@@ -224,9 +224,11 @@ int main(int argc, char** argv) {
   const double speedup = warm_ns > 0.0 ? cold_ns / warm_ns : 0.0;
   std::printf("  cold (fresh engine/query): %11.1f ns/query\n", cold_ns);
   std::printf("  warm (steady-state):       %11.1f ns/query\n", warm_ns);
-  std::printf("  speedup: %.1fx   (%s; bytes verified warm==cold, "
-              "serial==parallel)\n", speedup,
-              warm_engine.solver_cache_stats_string().c_str());
+  std::printf("  speedup: %.1fx   (solvers: built=%zu hits=%zu "
+              "anchor_solves=%zu replays=%zu anchor_bytes=%zu; bytes "
+              "verified warm==cold, serial==parallel)\n",
+              speedup, sstats.built, sstats.hits, sstats.anchor_solves,
+              sstats.replays, sstats.anchor_bytes);
 
   const std::string out_path = cli.get("out", "");
   if (!out_path.empty()) {

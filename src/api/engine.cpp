@@ -799,27 +799,16 @@ std::vector<Engine::Outcome> Engine::run_batch(
     } catch (const std::exception& e) {
       outcomes[i].error = e.what();
     }
-    outcomes[i].elapsed_ns = monotonic_now() - t0;
+    const TimeNs elapsed_ns = monotonic_now() - t0;
+    handles_.batch_request_ns.record(elapsed_ns);
+    handles_.pool_busy_ns.add(elapsed_ns);
   });
-  // Per-request latencies feed the batch histogram in input order from
-  // this (single) thread, not from the workers — so the quantile sketch's
-  // feed order is deterministic whatever the thread count.
-  TimeNs busy_ns = 0.0;
-  for (const Outcome& o : outcomes) {
-    handles_.batch_request_ns.record(o.elapsed_ns);
-    busy_ns += o.elapsed_ns;
-  }
-  handles_.pool_busy_ns.add(busy_ns);
   return outcomes;
 }
 
 // ---------------------------------------------------------------------------
 // Observability surfaces.
 // ---------------------------------------------------------------------------
-
-std::string Engine::cache_stats_string() const {
-  return cache_.stats_string() + '\n' + solver_cache_.stats_string();
-}
 
 obs::Snapshot Engine::metrics_snapshot() const {
   obs::Snapshot snap = metrics_.snapshot();

@@ -178,7 +178,6 @@ class Engine {
     std::optional<Response> response;  ///< engaged on success
     std::string error;                 ///< non-empty on failure
     bool usage_error = false;          ///< UsageError vs analysis Error
-    TimeNs elapsed_ns = 0.0;           ///< wall time of this request
   };
   std::vector<Outcome> run_batch(const std::vector<Request>& requests,
                                  int threads);
@@ -189,12 +188,6 @@ class Engine {
   core::SolverCache::Stats solver_cache_stats() const {
     return solver_cache_.stats();
   }
-  /// One-line human form of solver_cache_stats().
-  std::string solver_cache_stats_string() const {
-    return solver_cache_.stats_string();
-  }
-  /// Both caches' stats lines (shared obs::stats_line format), one per line.
-  std::string cache_stats_string() const;
 
   // -- Observability (DESIGN.md §7).  Metrics and traces are side channels:
   // they never feed result bytes (the metrics-on-vs-off byte-identity tests

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "apps/registry.hpp"
-#include "obs/metrics.hpp"
 #include "schedgen/schedgen.hpp"
 
 namespace llamp::core {
@@ -47,12 +46,6 @@ GraphCache::Stats GraphCache::stats() const {
   return {built_.load(std::memory_order_relaxed),
           hits_.load(std::memory_order_relaxed),
           bytes_.load(std::memory_order_relaxed)};
-}
-
-std::string GraphCache::stats_string() const {
-  const Stats s = stats();
-  return obs::stats_line(
-      "graphs", {{"built", s.built}, {"hits", s.hits}, {"bytes", s.bytes}});
 }
 
 }  // namespace llamp::core

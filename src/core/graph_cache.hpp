@@ -66,9 +66,6 @@ class GraphCache {
   /// rejects); a stats() snapshot is therefore monotonic but not an
   /// instantaneous cut across both counters.
   Stats stats() const;
-  /// One-line human form via the shared obs::stats_line formatter, e.g.
-  /// "graphs: built=2 hits=9 bytes=123456".
-  std::string stats_string() const;
 
  private:
   /// One cache entry: the graph plus the lock its first-touch build runs

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "lp/param_space.hpp"
-#include "obs/metrics.hpp"
 #include "util/strings.hpp"
 
 namespace llamp::core {
@@ -159,15 +158,6 @@ SolverCache::Stats SolverCache::stats() const {
           anchor_solves_.load(std::memory_order_relaxed),
           replays_.load(std::memory_order_relaxed),
           anchor_bytes_.load(std::memory_order_relaxed)};
-}
-
-std::string SolverCache::stats_string() const {
-  const Stats s = stats();
-  return obs::stats_line("solvers", {{"built", s.built},
-                                     {"hits", s.hits},
-                                     {"anchor_solves", s.anchor_solves},
-                                     {"replays", s.replays},
-                                     {"anchor_bytes", s.anchor_bytes}});
 }
 
 }  // namespace llamp::core

@@ -152,9 +152,6 @@ class SolverCache {
   /// counts payload sizes (not vector capacities) so the tally is
   /// deterministic for a fixed request sequence.
   Stats stats() const;
-  /// One-line human form via the shared obs::stats_line formatter, e.g.
-  /// "solvers: built=2 hits=9 anchor_solves=14 replays=180 anchor_bytes=...".
-  std::string stats_string() const;
 
  private:
   std::shared_ptr<Entry> entry_for(const SolverKey& key);

@@ -15,14 +15,24 @@ std::size_t next_shard_slot() {
 }
 
 std::size_t histogram_bucket(double v) {
-  // Bucket 0 holds v <= 1 (and any negative); bucket b >= 1 holds
-  // [2^(b-1), 2^b); the last bucket overflows.  frexp is exact at the
-  // power-of-two edges, where a std::log2 round trip could land either
-  // side depending on the libm.
   if (!(v > 1.0)) return 0;
   int exp = 0;
-  (void)std::frexp(v, &exp);  // v = m * 2^exp with m in [0.5, 1)
-  return std::min(static_cast<std::size_t>(exp), kHistogramBuckets - 1);
+  const double m = std::frexp(v, &exp);  // v = m * 2^exp, m in [0.5, 1)
+  // v lies in octave [2^(exp-1), 2^exp); m * 2 * kHistogramSubBuckets is
+  // exact, so the sub-bucket's lower edge is inclusive.
+  const auto sub = static_cast<std::size_t>(
+                       m * static_cast<double>(2 * kHistogramSubBuckets)) -
+                   kHistogramSubBuckets;
+  const std::size_t b =
+      1 + static_cast<std::size_t>(exp - 1) * kHistogramSubBuckets + sub;
+  return std::min(b, kHistogramBuckets - 1);
+}
+
+double histogram_bucket_lower(std::size_t b) {
+  const std::size_t i = b - 1;
+  const double frac = static_cast<double>(i % kHistogramSubBuckets) /
+                      static_cast<double>(kHistogramSubBuckets);
+  return std::ldexp(1.0 + frac, static_cast<int>(i / kHistogramSubBuckets));
 }
 
 namespace {
@@ -60,12 +70,6 @@ void HistogramCell::record(double v) {
   atomic_add(s.sum, v);
   atomic_min(s.min_v, v);
   atomic_max(s.max_v, v);
-  {
-    const std::lock_guard<std::mutex> lock(s.p2_mutex);
-    s.p50.add(v);
-    s.p95.add(v);
-    s.p99.add(v);
-  }
 }
 
 }  // namespace detail
@@ -101,27 +105,35 @@ Histogram Registry::histogram(const std::string& name) {
 
 namespace {
 
-/// Quantile estimate from merged log₂ bucket counts: linear interpolation
-/// on rank inside the covering bucket.  Deterministic given the merged
-/// counts (which are themselves shard- and thread-count independent).
-double bucket_quantile(const std::vector<std::uint64_t>& buckets,
-                       std::uint64_t n, double q) {
-  if (n == 0) return 0.0;
-  const double target = q * static_cast<double>(n);
+/// Quantile estimate from merged bucket counts: linear interpolation on
+/// rank inside the covering bucket, clamped to the exact [min, max].  The
+/// covering bucket holds the nearest-rank value, so the error is at most
+/// that bucket's width (1/16 of its lower edge).
+double bucket_quantile(const HistogramSnapshot& h, double q) {
+  if (h.count == 0) return 0.0;
+  const double target = q * static_cast<double>(h.count);
   double cum = 0.0;
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    const double c = static_cast<double>(buckets[b]);
+  double est = h.max;  // kept only if a racing record left buckets < count
+  for (std::size_t b = 0; b < h.buckets.size(); ++b) {
+    const double c = static_cast<double>(h.buckets[b]);
     if (c == 0.0) continue;
     if (cum + c >= target) {
-      if (b == 0) return 1.0;  // the "<= 1" bucket: report its upper edge
-      const double lo = std::ldexp(1.0, static_cast<int>(b) - 1);
-      if (b == detail::kHistogramBuckets - 1) return lo;  // overflow
-      const double hi = std::ldexp(1.0, static_cast<int>(b));
-      return lo + (hi - lo) * ((target - cum) / c);
+      if (b == 0) {
+        est = 1.0;  // the "<= 1" bucket: report its upper edge
+      } else if (b == detail::kHistogramBuckets - 1) {
+        est = detail::histogram_bucket_lower(b);  // overflow
+      } else {
+        const double lo = detail::histogram_bucket_lower(b);
+        const double hi = detail::histogram_bucket_lower(b + 1);
+        est = lo + (hi - lo) * ((target - cum) / c);
+      }
+      break;
     }
     cum += c;
   }
-  return 0.0;  // unreachable: the loop covers rank n
+  // min/max rather than std::clamp: a snapshot racing a record may see
+  // the count before the shard's min/max, and must not hit clamp's UB.
+  return std::min(std::max(est, h.min), h.max);
 }
 
 }  // namespace
@@ -146,15 +158,11 @@ Snapshot Registry::snapshot() const {
     h.buckets.assign(detail::kHistogramBuckets, 0);
     double min_v = std::numeric_limits<double>::infinity();
     double max_v = -std::numeric_limits<double>::infinity();
-    const detail::HistogramShard* populated = nullptr;
-    std::size_t populated_shards = 0;
     for (const auto& shard : cell->shards) {
       const std::uint64_t c = shard.count.load(std::memory_order_relaxed);
       h.count += c;
       h.nonfinite += shard.nonfinite.load(std::memory_order_relaxed);
       if (c == 0) continue;
-      ++populated_shards;
-      populated = &shard;
       h.sum += shard.sum.load(std::memory_order_relaxed);
       min_v = std::min(min_v, shard.min_v.load(std::memory_order_relaxed));
       max_v = std::max(max_v, shard.max_v.load(std::memory_order_relaxed));
@@ -166,21 +174,9 @@ Snapshot Registry::snapshot() const {
       h.min = min_v;
       h.max = max_v;
     }
-    if (populated_shards == 1) {
-      // One populated shard means one deterministic feed order: report the
-      // precise P² estimates (exact up to five observations, the
-      // util/stats contract).
-      const std::lock_guard<std::mutex> p2(populated->p2_mutex);
-      h.p50 = populated->p50.value();
-      h.p95 = populated->p95.value();
-      h.p99 = populated->p99.value();
-    } else if (populated_shards > 1) {
-      // Concurrent feeds merge at bucket resolution: the estimates depend
-      // only on the merged counts, never on which thread fed which shard.
-      h.p50 = bucket_quantile(h.buckets, h.count, 0.50);
-      h.p95 = bucket_quantile(h.buckets, h.count, 0.95);
-      h.p99 = bucket_quantile(h.buckets, h.count, 0.99);
-    }
+    h.p50 = bucket_quantile(h, 0.50);
+    h.p95 = bucket_quantile(h, 0.95);
+    h.p99 = bucket_quantile(h, 0.99);
     snap.histograms.push_back(std::move(h));
   }
   return snap;
@@ -269,17 +265,6 @@ std::string Snapshot::to_string() const {
           h.name.c_str(), static_cast<unsigned long long>(h.count), mean,
           h.p50, h.p95, h.p99, h.min, h.max);
     }
-  }
-  return out;
-}
-
-std::string stats_line(
-    const std::string& label,
-    const std::vector<std::pair<std::string, std::uint64_t>>& fields) {
-  std::string out = label + ":";
-  for (const auto& [key, value] : fields) {
-    out += strformat(" %s=%llu", key.c_str(),
-                     static_cast<unsigned long long>(value));
   }
   return out;
 }

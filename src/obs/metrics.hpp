@@ -12,8 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/stats.hpp"
-
 namespace llamp::obs {
 
 /// The session metrics registry (DESIGN.md §7): named counters, gauges, and
@@ -35,10 +33,12 @@ namespace llamp::obs {
 /// deterministic name order — so merged counter values are independent of
 /// the shard count, the thread count, and which thread bumped which shard
 /// (pinned by the Obs.MergeDeterminism tests).  Histogram bucket counts
-/// merge the same way; only the timing-*valued* fields (sum, min/max,
-/// quantile estimates) are allowed to vary run to run, because the recorded
-/// durations themselves do.  Nothing in this file may ever feed result
-/// bytes: metrics are a side channel beside the golden-pinned outputs.
+/// merge the same way, and a histogram's quantiles are computed from the
+/// merged counts plus min/max only, so for a fixed multiset of recorded
+/// values they do not depend on the shard count either.  Only the timing-
+/// *valued* fields (sum, min/max, quantiles) vary run to run, because the
+/// recorded durations themselves do.  Nothing in this file may ever feed
+/// result bytes: metrics are a side channel beside the golden-pinned outputs.
 class Registry;
 
 namespace detail {
@@ -67,14 +67,22 @@ struct GaugeCell {
   std::atomic<double> value{0.0};
 };
 
-/// Log₂-spaced histogram buckets: bucket 0 holds values <= 1, bucket b in
-/// [1, kBuckets-2] holds [2^(b-1), 2^b), and the last bucket overflows.
-/// 2^46 ns ≈ 19.5 hours, far beyond any request latency we time.
-inline constexpr std::size_t kHistogramBuckets = 48;
+/// Log-linear (HDR-style) histogram buckets: bucket 0 holds values <= 1,
+/// each power of two [2^k, 2^(k+1)) for k in [0, 45] splits into
+/// kHistogramSubBuckets equal-width buckets, and the last bucket overflows
+/// at 2^46 ns ≈ 19.5 hours, far beyond any request latency we time.  Every
+/// bucket edge 2^k·(1 + s/16) is an exact dyadic value, and a bucket's width
+/// is at most 1/16 of its lower edge.
+inline constexpr std::size_t kHistogramSubBuckets = 16;
+inline constexpr std::size_t kHistogramBuckets = 2 + 46 * kHistogramSubBuckets;
 
-/// The bucket for a finite value, computed with frexp (exact at the
-/// power-of-two edges, unlike a std::log2 round trip).
+/// The bucket for a finite value: the octave from frexp's exponent, the
+/// sub-bucket from its mantissa (both exact, unlike a std::log2 round trip).
 std::size_t histogram_bucket(double v);
+
+/// The inclusive lower edge of bucket b >= 1 (1.0 for the first octave's
+/// first sub-bucket, 2^46 for the overflow bucket).
+double histogram_bucket_lower(std::size_t b);
 
 struct alignas(64) HistogramShard {
   std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
@@ -85,13 +93,6 @@ struct alignas(64) HistogramShard {
   std::atomic<double> sum{0.0};
   std::atomic<double> min_v{std::numeric_limits<double>::infinity()};
   std::atomic<double> max_v{-std::numeric_limits<double>::infinity()};
-  /// P² sketches (util/stats) for precise quantiles when one thread feeds
-  /// the histogram (the registry reports them when exactly one shard is
-  /// populated; concurrent feeds fall back to bucket interpolation).
-  mutable std::mutex p2_mutex;
-  P2Quantile p50{0.50};
-  P2Quantile p95{0.95};
-  P2Quantile p99{0.99};
 };
 
 struct HistogramCell {
@@ -139,15 +140,14 @@ class Gauge {
   detail::GaugeCell* cell_ = nullptr;
 };
 
-/// Latency histogram handle: fixed log₂ buckets plus per-shard P² quantile
-/// sketches.  Values are nanoseconds by convention (TimeNs durations).
+/// Latency histogram handle over the fixed log-linear buckets above.
+/// Values are nanoseconds by convention (TimeNs durations).
 class Histogram {
  public:
   Histogram() = default;
 
-  /// Record one observation.  Non-finite values are counted separately
-  /// (they would corrupt the P² markers); lock-free except the per-shard
-  /// P² mutex, which is uncontended when each thread keeps its shard.
+  /// Record one observation: relaxed atomics into this thread's shard, no
+  /// lock.  Non-finite values are counted separately (no bucket holds them).
   void record(double v) {
     if (cell_ != nullptr) cell_->record(v);
   }
@@ -168,10 +168,14 @@ struct HistogramSnapshot {
   double sum = 0.0;
   double min = 0.0;
   double max = 0.0;
-  double p50 = 0.0;  ///< P² when single-shard, bucket estimate otherwise
+  /// Quantiles from the merged buckets alone: rank interpolation inside
+  /// the covering bucket, clamped to [min, max].  So they are monotone in
+  /// q, independent of shard count and feed order, and within 1/16 relative
+  /// error of the exact nearest-rank percentile for values in (1, 2^46).
+  double p50 = 0.0;
   double p95 = 0.0;
   double p99 = 0.0;
-  std::vector<std::uint64_t> buckets;  ///< merged log₂ bucket counts
+  std::vector<std::uint64_t> buckets;  ///< merged log-linear bucket counts
 };
 
 struct Snapshot {
@@ -185,7 +189,7 @@ struct Snapshot {
 
   /// Canonical single-line JSON: {"schema_version": 1, "counters": {...},
   /// "gauges": {...}, "histograms": {...}} with every object name-sorted.
-  /// This is the payload a future `llamp serve` /metrics endpoint returns.
+  /// This is the payload of the `llamp serve` /metrics endpoint.
   /// Structure and counter values are deterministic for a fixed request
   /// sequence; gauge/histogram *values* may carry timings.
   std::string to_json() const;
@@ -227,12 +231,5 @@ class Registry {
   std::map<std::string, std::unique_ptr<detail::GaugeCell>> gauges_;
   std::map<std::string, std::unique_ptr<detail::HistogramCell>> histograms_;
 };
-
-/// The one cache/stats line format shared by GraphCache, SolverCache, and
-/// any future stats_string(): "label: k1=v1 k2=v2 ...".  Having a single
-/// formatter is the point — two caches can never drift apart again.
-std::string stats_line(
-    const std::string& label,
-    const std::vector<std::pair<std::string, std::uint64_t>>& fields);
 
 }  // namespace llamp::obs

@@ -1,11 +1,12 @@
 // Tests for the observability layer (src/obs/): registry merge
-// determinism across shard counts, histogram bucket edges and quantile
-// sketches, the shared stats_line format, Chrome trace emission, and the
-// engine-level guarantees — deterministic counters for a fixed request
-// sequence, and byte-identical results with metrics/tracing on or off.
+// determinism across shard counts, log-linear histogram bucket edges and
+// bucket quantiles, Chrome trace emission, and the engine-level
+// guarantees — deterministic counters for a fixed request sequence, and
+// byte-identical results with metrics/tracing on or off.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -14,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/engine.hpp"
@@ -23,7 +25,7 @@
 #include "tools/cli_driver.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
-#include "util/stats.hpp"
+#include "util/rng.hpp"
 
 namespace llamp {
 namespace {
@@ -99,39 +101,130 @@ TEST(ObsRegistry, DefaultConstructedHandlesAreSafeNoOps) {
 }
 
 // ---------------------------------------------------------------------------
-// Histogram buckets: log₂ spacing with exact power-of-two edges.
+// Histogram buckets: log-linear, 16 sub-buckets per power of two, with exact
+// inclusive lower edges.
 // ---------------------------------------------------------------------------
 
 TEST(ObsHistogram, BucketEdges) {
   using obs::detail::histogram_bucket;
+  using obs::detail::histogram_bucket_lower;
   using obs::detail::kHistogramBuckets;
-  // Bucket 0 holds v <= 1 (and everything non-positive).
+  using obs::detail::kHistogramSubBuckets;
+  ASSERT_EQ(kHistogramSubBuckets, 16u);
+  ASSERT_EQ(kHistogramBuckets, 2u + 46u * 16u);
+  // Underflow: bucket 0 holds v <= 1 (and everything non-positive).
   EXPECT_EQ(histogram_bucket(-5.0), 0u);
   EXPECT_EQ(histogram_bucket(0.0), 0u);
   EXPECT_EQ(histogram_bucket(0.5), 0u);
   EXPECT_EQ(histogram_bucket(1.0), 0u);
-  // Bucket b holds [2^(b-1), 2^b): the lower edge is inclusive.
-  EXPECT_EQ(histogram_bucket(1.5), 1u);
-  EXPECT_EQ(histogram_bucket(2.0), 2u);
-  EXPECT_EQ(histogram_bucket(3.999), 2u);
-  EXPECT_EQ(histogram_bucket(4.0), 3u);
-  EXPECT_EQ(histogram_bucket(1024.0), 11u);
-  EXPECT_EQ(histogram_bucket(1023.999), 10u);
-  // The last bucket absorbs overflow.
+  EXPECT_EQ(histogram_bucket(std::nextafter(1.0, 2.0)), 1u);
+  // Sub-bucket edges 2^k * (1 + s/16) and octave edges 2^k are inclusive.
+  EXPECT_EQ(histogram_bucket(1.0625), 2u);
+  EXPECT_EQ(histogram_bucket(std::nextafter(1.0625, 0.0)), 1u);
+  EXPECT_EQ(histogram_bucket(1.9999), 16u);
+  EXPECT_EQ(histogram_bucket(2.0), 17u);
+  EXPECT_EQ(histogram_bucket(2.125), 18u);
+  EXPECT_EQ(histogram_bucket(3.999), 32u);
+  EXPECT_EQ(histogram_bucket(4.0), 33u);
+  EXPECT_EQ(histogram_bucket(1023.999), 160u);
+  EXPECT_EQ(histogram_bucket(1024.0), 161u);
+  EXPECT_EQ(histogram_bucket(1088.0), 162u);  // 1024 * (1 + 1/16)
+  // Every bucket's lower edge maps to that bucket and the double just below
+  // it to the previous one (bucket 1's edge, 1.0, belongs to underflow).
+  for (std::size_t b = 2; b < kHistogramBuckets; ++b) {
+    const double lo = histogram_bucket_lower(b);
+    EXPECT_EQ(histogram_bucket(lo), b) << "b=" << b;
+    EXPECT_EQ(histogram_bucket(std::nextafter(lo, 0.0)), b - 1) << "b=" << b;
+  }
+  // Overflow: the last bucket starts at 2^46 and absorbs everything above.
+  EXPECT_EQ(histogram_bucket_lower(kHistogramBuckets - 1), std::ldexp(1.0, 46));
+  EXPECT_EQ(histogram_bucket(std::ldexp(1.0, 46)), kHistogramBuckets - 1);
   EXPECT_EQ(histogram_bucket(1e30), kHistogramBuckets - 1);
 }
 
-TEST(ObsHistogram, SingleShardQuantilesAreP2Exact) {
-  // With one populated shard the snapshot reports the P² sketches, which
-  // are exact R-7 percentiles while the stream holds <= 5 observations.
-  obs::Registry reg(obs::Registry::Options{.shards = 4});
-  obs::Histogram h = reg.histogram("lat");
-  const std::vector<double> xs = {10.0, 50.0, 30.0, 20.0, 40.0};
-  for (const double v : xs) h.record(v);
-  const obs::HistogramSnapshot& hs = reg.snapshot().histograms[0];
-  EXPECT_DOUBLE_EQ(hs.p50, percentile(xs, 50.0));
-  EXPECT_DOUBLE_EQ(hs.p95, percentile(xs, 95.0));
-  EXPECT_DOUBLE_EQ(hs.p99, percentile(xs, 99.0));
+TEST(ObsHistogram, QuantilesAreMonotoneShardIndependentAndBounded) {
+  // A seeded corpus, bimodal shapes included (one fast mode plus a slow
+  // tail around p95, the shape that misordered per-shard P² sketches).
+  // Each case goes through one shard from one thread and through 4 threads
+  // on 3 and 8 shards; the snapshots must agree and bound the exact
+  // nearest-rank percentiles.
+  std::vector<std::vector<double>> corpus;
+  Rng rng(17);
+  for (const double slow_share : {0.02, 0.04, 0.05, 0.06, 0.1, 0.5}) {
+    for (int rep = 0; rep < 4; ++rep) {
+      std::vector<double> xs(200 + 400 * rep);
+      for (double& x : xs) {
+        x = rng.uniform() < slow_share ? rng.uniform(3.5e7, 3.6e7)
+                                       : rng.uniform(1.0e4, 3.0e4);
+      }
+      corpus.push_back(std::move(xs));
+    }
+  }
+  std::vector<double> log_uniform(1000);
+  for (double& x : log_uniform) x = std::exp(rng.uniform(0.5, 20.0));
+  corpus.push_back(std::move(log_uniform));
+  std::vector<double> pareto(1000);
+  for (double& x : pareto) x = 100.0 / std::pow(1.0 - rng.uniform(), 1.0 / 1.2);
+  corpus.push_back(std::move(pareto));
+  std::vector<double> edges;
+  for (int k = 0; k < 20; ++k) edges.push_back(std::ldexp(1.0, k + 1));
+  corpus.push_back(std::move(edges));
+  corpus.push_back(std::vector<double>(100, 12345.0));
+  corpus.push_back({42.0});
+  corpus.push_back({10.0, 50.0, 30.0, 20.0, 40.0});
+
+  const auto feed = [](const std::vector<double>& xs, int shards,
+                       int threads) {
+    obs::Registry reg(obs::Registry::Options{.shards = shards});
+    obs::Histogram h = reg.histogram("lat");
+    if (threads == 1) {
+      for (const double v : xs) h.record(v);
+    } else {
+      std::vector<std::thread> pool;
+      for (int t = 0; t < threads; ++t) {
+        pool.emplace_back([&xs, &h, t, threads] {
+          for (auto i = static_cast<std::size_t>(t); i < xs.size();
+               i += static_cast<std::size_t>(threads)) {
+            h.record(xs[i]);
+          }
+        });
+      }
+      for (std::thread& t : pool) t.join();
+    }
+    const obs::Snapshot snap = reg.snapshot();
+    return snap.histograms.at(0);
+  };
+
+  for (std::size_t c = 0; c < corpus.size(); ++c) {
+    const std::vector<double>& xs = corpus[c];
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    const obs::HistogramSnapshot one = feed(xs, 1, 1);
+    EXPECT_LE(one.p50, one.p95) << "case " << c;
+    EXPECT_LE(one.p95, one.p99) << "case " << c;
+    EXPECT_LE(one.min, one.p50) << "case " << c;
+    EXPECT_LE(one.p99, one.max) << "case " << c;
+    const double n = static_cast<double>(xs.size());
+    const std::pair<double, double> quantiles[] = {
+        {0.50, one.p50}, {0.95, one.p95}, {0.99, one.p99}};
+    for (const auto& [q, est] : quantiles) {
+      const auto rank = static_cast<std::size_t>(std::ceil(q * n));
+      const double exact = sorted[std::max<std::size_t>(rank, 1) - 1];
+      EXPECT_LE(std::abs(est - exact), exact / 16.0)
+          << "case " << c << " q=" << q << " est=" << est
+          << " exact=" << exact;
+    }
+    for (const int shards : {3, 8}) {
+      const obs::HistogramSnapshot many = feed(xs, shards, 4);
+      EXPECT_EQ(many.count, one.count) << "case " << c;
+      EXPECT_EQ(many.buckets, one.buckets) << "case " << c;
+      EXPECT_EQ(many.min, one.min) << "case " << c;
+      EXPECT_EQ(many.max, one.max) << "case " << c;
+      EXPECT_EQ(many.p50, one.p50) << "case " << c << " shards=" << shards;
+      EXPECT_EQ(many.p95, one.p95) << "case " << c << " shards=" << shards;
+      EXPECT_EQ(many.p99, one.p99) << "case " << c << " shards=" << shards;
+    }
+  }
 }
 
 TEST(ObsHistogram, NonfiniteObservationsAreCountedSeparately) {
@@ -140,7 +233,8 @@ TEST(ObsHistogram, NonfiniteObservationsAreCountedSeparately) {
   h.record(5.0);
   h.record(std::numeric_limits<double>::infinity());
   h.record(std::numeric_limits<double>::quiet_NaN());
-  const obs::HistogramSnapshot& hs = reg.snapshot().histograms[0];
+  const obs::Snapshot snap = reg.snapshot();
+  const obs::HistogramSnapshot& hs = snap.histograms[0];
   EXPECT_EQ(hs.count, 1u);
   EXPECT_EQ(hs.nonfinite, 2u);
   EXPECT_EQ(hs.sum, 5.0);
@@ -186,12 +280,6 @@ TEST(ObsSnapshot, JsonParsesAndCarriesSchemaVersion) {
   const JsonValue* h = hists->find("h");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->find("count")->as_number("count"), 1.0);
-}
-
-TEST(ObsStatsLine, SharedCacheLineFormat) {
-  EXPECT_EQ(obs::stats_line("graphs", {{"built", 2}, {"hits", 11}}),
-            "graphs: built=2 hits=11");
-  EXPECT_EQ(obs::stats_line("empty", {}), "empty:");
 }
 
 // ---------------------------------------------------------------------------

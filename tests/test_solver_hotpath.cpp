@@ -532,7 +532,6 @@ TEST(SolverCacheStats, KeysOnGraphKeyAndParamFingerprint) {
   const auto stats = cache.stats();
   EXPECT_EQ(stats.built, 3u);
   EXPECT_EQ(stats.hits, 1u);
-  EXPECT_NE(cache.stats_string().find("solvers: built=3"), std::string::npos);
 }
 
 TEST(SolverCacheEntry, ConcurrentEvalsAreBitwiseDense) {
